@@ -2,10 +2,6 @@
 interference channel with noisy channel-output feedback."""
 
 from .achievability import (
-    ACoefficients,
-    AchievabilityParams,
-    a_coeff,
-    achievable_polytope,
     achievable_region,
     b_basic,
     rho_domain_sup,
@@ -28,7 +24,6 @@ from .converse import (
     KappaValues,
     b_conv,
     classify_events,
-    converse_polytope,
     converse_region,
     kappa,
 )
@@ -54,8 +49,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "ACoefficients",
-    "AchievabilityParams",
     "ChannelCoefficients",
     "ChannelParameters",
     "DegenerateChannelError",
@@ -71,8 +64,6 @@ __all__ = [
     "SignalBlock",
     "SimulationConfig",
     "SymmetricPoint",
-    "a_coeff",
-    "achievable_polytope",
     "achievable_region",
     "analytic_deltas",
     "analytic_gap_bound",
@@ -81,7 +72,6 @@ __all__ = [
     "classify_events",
     "coefficients_from_params",
     "contains",
-    "converse_polytope",
     "converse_region",
     "convex_hull",
     "deflation_gap",

@@ -24,7 +24,6 @@ being clamped away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +31,6 @@ from .channel import ChannelParameters
 from .errors import DegenerateChannelError
 from .geometry import (
     GridSpec,
-    LinearBound,
-    RateRegionPolytope,
     Region,
     batch_vertices,
     discard_strictly_dominated,
@@ -135,68 +132,13 @@ def a7(p: ChannelParameters, i: int, rho, mu1, mu2):
     ) - 0.5
 
 
-@dataclass(frozen=True)
-class AchievabilityParams:
-    """Coding parameters: input correlation and per-user common-power splits."""
-
-    rho: float
-    mu_1: float
-    mu_2: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        for name in ("mu_1", "mu_2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-@dataclass(frozen=True)
-class ACoefficients:
-    """The fourteen coefficient values at a parameter triple, per user.
-
-    The mu arguments follow the pairing of the rate-bound list: a3, a4 and a5
-    of user i take the other user's split mu_j, a6 of user i takes its own
-    mu_i, and a7 takes both.
-    """
-
-    a1: tuple[float, float]
-    a2: tuple[float, float]
-    a3: tuple[float, float]
-    a4: tuple[float, float]
-    a5: tuple[float, float]
-    a6: tuple[float, float]
-    a7: tuple[float, float]
-
-
-def _check_rho_domain(p: ChannelParameters, rho: float) -> None:
-    sup = rho_domain_sup(p)
-    if rho < 0.0 or rho > sup + 1e-12:
-        raise ValueError(f"rho={rho} outside the admissible domain [0, {sup}]")
-
-
-def a_coeff(p: ChannelParameters, params: AchievabilityParams) -> ACoefficients:
-    """All coefficient values at one parameter triple, with bound pairing applied."""
-    _check_rho_domain(p, params.rho)
-    rho, mu1, mu2 = params.rho, params.mu_1, params.mu_2
-    return ACoefficients(
-        a1=(a1(p, 1), a1(p, 2)),
-        a2=(float(a2(p, 1, rho)), float(a2(p, 2, rho))),
-        a3=(float(a3(p, 1, rho, mu2)), float(a3(p, 2, rho, mu1))),
-        a4=(float(a4(p, 1, rho, mu2)), float(a4(p, 2, rho, mu1))),
-        a5=(float(a5(p, 1, rho, mu2)), float(a5(p, 2, rho, mu1))),
-        a6=(float(a6(p, 1, rho, mu1)), float(a6(p, 2, rho, mu2))),
-        a7=(float(a7(p, 1, rho, mu1, mu2)), float(a7(p, 2, rho, mu1, mu2))),
-    )
-
-
 def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> dict[str, list]:
     """Right-hand sides of the seventeen bounds, grouped by family.
 
     rho, mu1 and mu2 may be broadcastable arrays; every returned entry
-    broadcasts against their common shape.  This is the single source for the
-    polytope constructor, the region sweep and the gap analysis.
+    broadcasts against their common shape.  This is the single source for
+    family_caps.  The splits pair as in the rate-bound list: a3, a4 and a5 of
+    user i take the other user's split mu_j, a6 its own mu_i, a7 both.
     """
     a1_1, a1_2 = a1(p, 1), a1(p, 2)
     a2_1, a2_2 = a2(p, 1, rho), a2(p, 2, rho)
@@ -229,22 +171,19 @@ def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> dict[str, list]:
     }
 
 
-_FAMILY_ORDER = ("r1", "r2", "sum", "two_r1", "two_r2")
+def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
+    """Binding cap of each bound family: the minimum over its members.
 
-
-def achievable_polytope(p: ChannelParameters, params: AchievabilityParams) -> RateRegionPolytope:
-    """The seventeen-bound polytope at one parameter triple.
-
-    Right-hand sides may be negative for degenerate channels, in which case
-    the polytope is empty.
+    rho, mu1 and mu2 may be broadcastable arrays.  Returns shape
+    (5,) + their broadcast shape in FAMILY_COEFFS order, the same layout as
+    converse.family_caps.
     """
-    _check_rho_domain(p, params.rho)
-    groups = bound_rhs_arrays(p, params.rho, params.mu_1, params.mu_2)
-    bounds = []
-    for (c1, c2), family in zip(FAMILY_COEFFS, _FAMILY_ORDER):
-        for rhs in groups[family]:
-            bounds.append(LinearBound(c1=float(c1), c2=float(c2), rhs=float(rhs)))
-    return RateRegionPolytope(bounds=tuple(bounds))
+    groups = bound_rhs_arrays(p, rho, mu1, mu2)
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
+    caps = np.empty((5,) + shape)
+    for k, members in enumerate(groups.values()):
+        caps[k] = np.minimum.reduce([np.broadcast_to(v, shape) for v in members])
+    return caps
 
 
 def parameter_grids(p: ChannelParameters, grid: GridSpec):
@@ -260,18 +199,8 @@ def parameter_grids(p: ChannelParameters, grid: GridSpec):
 
 
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
-    """Binding cap of each bound family over the whole parameter grid.
-
-    Returns an array of shape (5, n) in FAMILY_COEFFS order, one column per
-    grid tuple.
-    """
-    rho, mu1, mu2 = parameter_grids(p, grid)
-    groups = bound_rhs_arrays(p, rho, mu1, mu2)
-    shape = np.broadcast_shapes(rho.shape, mu1.shape, mu2.shape)
-    caps = np.empty((5,) + shape)
-    for k, family in enumerate(_FAMILY_ORDER):
-        caps[k] = np.minimum.reduce([np.broadcast_to(v, shape) for v in groups[family]])
-    return caps.reshape(5, -1)
+    """family_caps over the whole parameter grid, one column per grid tuple."""
+    return family_caps(p, *parameter_grids(p, grid)).reshape(5, -1)
 
 
 def single_user_anchors(p: ChannelParameters) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 The converse bounds depend on how each forward SNR orders against the two
 INRs and their product.  Five mutually exclusive scenarios per user carve up
-the parameter space; the joint scenario selects which variant of the sum-rate
-cap (four variants) and of the weighted-sum caps (two variants per user)
-applies.  Twenty-three joint scenarios are feasible: the (2, 2) and (3, 3)
-combinations are contradictory.
+the parameter space.  Twenty-three joint scenarios are feasible: the (2, 2)
+and (3, 3) combinations are contradictory.
+
+The sum cap kappa_6 and the weighted caps kappa_7 are built from one
+per-user half H_j with two forms: the b1 form, in b1_j and the feedback gain,
+and the b6 form, in b6_j and the cross-feedback factor.  H_j takes the b1
+form iff the other user's scenario index is 1, 2 or 5.  kappa_6 holds both
+halves and kappa_7 of user i holds H_j of the other user j; the variant
+labels that classify prints name these choices.
 
 For a fixed correlation rho in [0, 1] the bounds cut out a polytope; the
 converse region is the union over rho, realized as the pointwise-maximum
@@ -29,21 +34,15 @@ from .errors import DegenerateChannelError
 from .geometry import (
     FEASIBILITY_TOL,
     GridSpec,
-    LinearBound,
-    RateRegionPolytope,
     Region,
     batch_vertices,
     envelope_union,
 )
-from .achievability import FAMILY_COEFFS, b_basic
+from .achievability import FAMILY_COEFFS, _other, b_basic
 
 DEFAULT_GRID = GridSpec(rho_points=65, mu_points=17)
 
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
-
-
-def _other(i: int) -> int:
-    return 2 if i == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -80,19 +79,6 @@ def classify_events(p: ChannelParameters) -> EventPair:
         l_1=_classify_user(p.snr_fwd_2, p.inr_12, p.inr_21),
         l_2=_classify_user(p.snr_fwd_1, p.inr_21, p.inr_12),
     )
-
-
-def k6_variant(ev: EventPair) -> int:
-    side1 = ev.l_1 in (1, 2, 5)
-    side2 = ev.l_2 in (1, 2, 5)
-    if side2:
-        return 1 if side1 else 2
-    return 3 if side1 else 4
-
-
-def k7_variant(ev: EventPair, i: int) -> int:
-    l_i = ev.l_1 if i == 1 else ev.l_2
-    return 1 if l_i in (1, 2, 5) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,105 +165,64 @@ def _cross_feedback(p, i, rho):
     return 1.0 + (_b5(p, i, rho) / snr) * inner
 
 
-def _k6(p, variant, rho):
-    inr12, inr21 = p.inr_12, p.inr_21
-    b1_1, _ = b_basic(p, 1, rho)
-    b1_2, _ = b_basic(p, 2, rho)
-    b51 = _b5(p, 1, rho)
-    mix = b51 * inr21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
-    with np.errstate(divide="ignore"):
-        if variant == 1:
-            return (
-                0.5 * np.log2(b1_1 + mix)
-                - 0.5 * math.log2(1.0 + inr12)
-                + 0.5 * np.log2(_fb_gain(p, 2, rho))
-                + 0.5 * np.log2(b1_2 + mix)
-                - 0.5 * math.log2(1.0 + inr21)
-                + 0.5 * np.log2(_fb_gain(p, 1, rho))
-                + LOG2_2PIE
-            )
-        if variant == 2:
-            snr2 = p.snr_fwd(2)
-            if snr2 <= 0.0:
-                raise DegenerateChannelError("this sum-rate cap variant needs snr_fwd_2 > 0")
-            return (
-                0.5 * np.log2(_b6(p, 2, rho) + (mix / snr2) * (snr2 + _b3(p, 2)))
-                - 0.5 * math.log2(1.0 + inr12)
-                + 0.5 * np.log2(_fb_gain(p, 1, rho))
-                + 0.5 * np.log2(b1_1 + mix)
-                - 0.5 * math.log2(1.0 + inr21)
-                + 0.5 * np.log2(_cross_feedback(p, 2, rho))
-                - 0.5 * np.log2(1.0 + mix / snr2)
-                + LOG2_2PIE
-            )
-        if variant == 3:
-            snr1 = p.snr_fwd(1)
-            if snr1 <= 0.0:
-                raise DegenerateChannelError("this sum-rate cap variant needs snr_fwd_1 > 0")
-            return (
-                0.5 * np.log2(_b6(p, 1, rho) + (mix / snr1) * (snr1 + _b3(p, 1)))
-                - 0.5 * math.log2(1.0 + inr12)
-                + 0.5 * np.log2(_fb_gain(p, 2, rho))
-                + 0.5 * np.log2(b1_2 + mix)
-                - 0.5 * math.log2(1.0 + inr21)
-                + 0.5 * np.log2(_cross_feedback(p, 1, rho))
-                - 0.5 * np.log2(1.0 + mix / snr1)
-                + LOG2_2PIE
-            )
-        if variant == 4:
-            snr1, snr2 = p.snr_fwd(1), p.snr_fwd(2)
-            if snr1 <= 0.0 or snr2 <= 0.0:
-                raise DegenerateChannelError("this sum-rate cap variant needs positive forward SNRs")
-            return (
-                0.5 * np.log2(_b6(p, 1, rho) + (mix / snr1) * (snr1 + _b3(p, 1)))
-                - 0.5 * math.log2(1.0 + inr12)
-                - 0.5 * math.log2(1.0 + inr21)
-                + 0.5 * np.log2(_cross_feedback(p, 2, rho))
-                - 0.5 * np.log2(1.0 + mix / snr2)
-                - 0.5 * np.log2(1.0 + mix / snr1)
-                + 0.5 * np.log2(_b6(p, 2, rho) + (mix / snr2) * (snr2 + _b3(p, 2)))
-                + 0.5 * np.log2(_cross_feedback(p, 1, rho))
-                + LOG2_2PIE
-            )
-    raise ValueError(f"unknown sum-rate cap variant {variant}")
+def _b1_form(ev: EventPair, j: int) -> bool:
+    """Whether user j's half takes the b1 form: the other user's scenario is 1, 2 or 5."""
+    return (ev.l_2 if j == 1 else ev.l_1) in (1, 2, 5)
 
 
-def _k7(p, i, variant, rho):
+def k6_variant(ev: EventPair) -> int:
+    """Label of the sum-cap form: 1 + 2*[H_1 in b6 form] + [H_2 in b6 form]."""
+    return 1 + 2 * (not _b1_form(ev, 1)) + (not _b1_form(ev, 2))
+
+
+def k7_variant(ev: EventPair, i: int) -> int:
+    """Label of the weighted-cap form of user i: 1 if H_j takes the b1 form, else 2."""
+    return 1 if _b1_form(ev, _other(i)) else 2
+
+
+def _half(p, j, b1_form, rho):
+    """H_j: user j's part of kappa_6 and of the other user's kappa_7."""
+    mix = _b5(p, 1, rho) * p.inr_21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
+    if b1_form:
+        b1_j, _ = b_basic(p, j, rho)
+        return 0.5 * np.log2(b1_j + mix) + 0.5 * np.log2(_fb_gain(p, j, rho))
+    b6_j = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
+    snr_j = p.snr_fwd(j)
+    return (
+        0.5 * np.log2(b6_j + (mix / snr_j) * (snr_j + _b3(p, j)))
+        + 0.5 * np.log2(_cross_feedback(p, j, rho))
+        - 0.5 * np.log2(1.0 + mix / snr_j)
+    )
+
+
+def _k7(p, i, half_j, rho):
     j = _other(i)
-    inr_ij, inr_ji = p.inr(i), p.inr(j)
     b1_i, _ = b_basic(p, i, rho)
-    b1_j, _ = b_basic(p, j, rho)
-    b4i = _b4(p, i, rho)
-    b5i = _b5(p, i, rho)
     b5j = _b5(p, j, rho)
+    return (
+        0.5 * np.log2(b1_i + 1.0)
+        - 0.5 * math.log2(1.0 + p.inr(i))
+        + 0.5 * np.log2(1.0 + _b4(p, i, rho) + b5j)
+        - 0.5 * np.log2(1.0 + b5j)
+        + half_j
+        + 2.0 * LOG2_2PIE
+    )
+
+
+def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
+    """The eleven converse caps at rho, grouped by family in FAMILY_COEFFS order."""
     with np.errstate(divide="ignore"):
-        if variant == 1:
-            return (
-                0.5 * np.log2(b1_i + 1.0)
-                - 0.5 * math.log2(1.0 + inr_ij)
-                + 0.5 * np.log2(_fb_gain(p, j, rho))
-                + 0.5 * np.log2(b1_j + b5i * inr_ji)
-                + 0.5 * np.log2(1.0 + b4i + b5j)
-                - 0.5 * np.log2(1.0 + b5j)
-                + 2.0 * LOG2_2PIE
-            )
-        if variant == 2:
-            snr_j = p.snr_fwd(j)
-            if snr_j <= 0.0:
-                raise DegenerateChannelError(f"this weighted-sum cap variant needs snr_fwd_{j} > 0")
-            b1j_full, _ = b_basic(p, j, 1.0)
-            cross = inr_ij + _b3(p, j) * p.snr_bwd(j) / (b1j_full + 1.0)
-            return (
-                0.5 * np.log2(b1_i + 1.0)
-                - 0.5 * math.log2(1.0 + inr_ij)
-                - 0.5 * np.log2(1.0 + b5j)
-                + 0.5 * np.log2(1.0 + b4i + b5j)
-                + 0.5 * np.log2(1.0 + (1.0 - np.asarray(rho) ** 2) * (inr_ji / snr_j) * cross)
-                - 0.5 * np.log2(1.0 + b5i * inr_ji / snr_j)
-                + 0.5 * np.log2(_b6(p, j, rho) + (b5i * inr_ji / snr_j) * (snr_j + _b3(p, j)))
-                + 2.0 * LOG2_2PIE
-            )
-    raise ValueError(f"unknown weighted-sum cap variant {variant}")
+        h1 = _half(p, 1, _b1_form(ev, 1), rho)
+        h2 = _half(p, 2, _b1_form(ev, 2), rho)
+        k7 = (_k7(p, 1, h2, rho), _k7(p, 2, h1, rho))
+    k6 = h1 + h2 - 0.5 * math.log2(1.0 + p.inr_12) - 0.5 * math.log2(1.0 + p.inr_21) + LOG2_2PIE
+    return (
+        (_k1(p, 1, rho), _k2(p, 1, rho), _k3(p, 1, rho)),
+        (_k1(p, 2, rho), _k2(p, 2, rho), _k3(p, 2, rho)),
+        (_k4(p, rho), _k5(p, rho), k6),
+        (k7[0],),
+        (k7[1],),
+    )
 
 
 @dataclass(frozen=True)
@@ -299,18 +244,19 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
     """Evaluate every converse cap at one correlation value."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    v6 = k6_variant(ev)
-    v7 = (k7_variant(ev, 1), k7_variant(ev, 2))
+    (k1_1, k2_1, k3_1), (k1_2, k2_2, k3_2), (k4, k5, k6), (k7_1,), (k7_2,) = (
+        [float(v) for v in family] for family in _caps_by_family(p, rho, ev)
+    )
     return KappaValues(
-        k1=(float(_k1(p, 1, rho)), float(_k1(p, 2, rho))),
-        k2=(float(_k2(p, 1, rho)), float(_k2(p, 2, rho))),
-        k3=(float(_k3(p, 1, rho)), float(_k3(p, 2, rho))),
-        k4=float(_k4(p, rho)),
-        k5=float(_k5(p, rho)),
-        k6=float(_k6(p, v6, rho)),
-        k6_variant=v6,
-        k7=(float(_k7(p, 1, v7[0], rho)), float(_k7(p, 2, v7[1], rho))),
-        k7_variants=v7,
+        k1=(k1_1, k1_2),
+        k2=(k2_1, k2_2),
+        k3=(k3_1, k3_2),
+        k4=k4,
+        k5=k5,
+        k6=k6,
+        k6_variant=k6_variant(ev),
+        k7=(k7_1, k7_2),
+        k7_variants=(k7_variant(ev, 1), k7_variant(ev, 2)),
     )
 
 
@@ -319,32 +265,12 @@ def family_caps(p: ChannelParameters, rho, ev: EventPair | None = None) -> np.nd
 
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order.
     """
-    ev = ev or classify_events(p)
     rho = np.asarray(rho, float)
+    families = _caps_by_family(p, rho, ev or classify_events(p))
     caps = np.empty((5,) + rho.shape)
-    caps[0] = np.minimum.reduce([_k1(p, 1, rho), _k2(p, 1, rho), _k3(p, 1, rho)])
-    caps[1] = np.minimum.reduce([_k2(p, 2, rho), _k1(p, 2, rho), _k3(p, 2, rho)])
-    caps[2] = np.minimum.reduce([_k4(p, rho), _k5(p, rho), _k6(p, k6_variant(ev), rho)])
-    caps[3] = _k7(p, 1, k7_variant(ev, 1), rho)
-    caps[4] = _k7(p, 2, k7_variant(ev, 2), rho)
+    for k, members in enumerate(families):
+        caps[k] = np.minimum.reduce(members)
     return caps
-
-
-def converse_polytope(p: ChannelParameters, rho: float) -> RateRegionPolytope:
-    """The eleven-bound converse polytope at one correlation value."""
-    ev = classify_events(p)
-    kv = kappa(p, rho, ev)
-    groups = {
-        (1.0, 0.0): [kv.k1[0], kv.k2[0], kv.k3[0]],
-        (0.0, 1.0): [kv.k1[1], kv.k2[1], kv.k3[1]],
-        (1.0, 1.0): [kv.k4, kv.k5, kv.k6],
-        (2.0, 1.0): [kv.k7[0]],
-        (1.0, 2.0): [kv.k7[1]],
-    }
-    bounds = [
-        LinearBound(c1=c[0], c2=c[1], rhs=r) for c, rs in groups.items() for r in rs
-    ]
-    return RateRegionPolytope(bounds=tuple(bounds))
 
 
 def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Region:
@@ -380,6 +306,5 @@ def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Regio
     frontier = np.where(feasible[:, None] & (r <= reach[:, None] + FEASIBILITY_TOL),
                         frontier, -np.inf)
 
-    pts, idx = batch_vertices(FAMILY_COEFFS, caps[:, feasible])
-    frontiers = [(r1_grid, frontier[k]) for k in range(rho.size) if feasible[k]]
-    return envelope_union(frontiers, vertex_sets=[pts] if pts.size else None)
+    pts, _ = batch_vertices(FAMILY_COEFFS, caps[:, feasible])
+    return envelope_union(r1_grid, frontier[feasible], vertex_sets=[pts] if pts.size else None)

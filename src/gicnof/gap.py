@@ -65,26 +65,17 @@ def analytic_deltas(
     sup = achievability.rho_domain_sup(p)
     if rho < 0.0 or rho > sup + 1e-12:
         raise ValueError(f"rho={rho} outside the shared domain [0, {sup}]")
-    inner = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    inner = achievability.family_caps(p, rho, mu1, mu2)
     outer = converse.family_caps(p, np.asarray([rho]))[:, 0]
-    families = ("r1", "r2", "sum", "two_r1", "two_r2")
-    return tuple(
-        float(outer[k] - min(float(v) for v in inner[fam]))
-        for k, fam in enumerate(families)
-    )
+    return tuple(float(o - i) for o, i in zip(outer, inner))
 
 
 def _analytic_bound_details(p: ChannelParameters, grid: GridSpec):
     rho, mu1, mu2 = achievability.parameter_grids(p, grid)
-    inner = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    inner = achievability.family_caps(p, rho, mu1, mu2)  # (5, n_rho, n_mu, n_mu)
     outer = converse.family_caps(p, rho[:, 0, 0])  # (5, n_rho)
-
-    shape = np.broadcast_shapes(rho.shape, mu1.shape, mu2.shape)
-    families = ("r1", "r2", "sum", "two_r1", "two_r2")
-    deltas = np.empty((5,) + shape)
-    for k, fam in enumerate(families):
-        inner_min = np.minimum.reduce([np.broadcast_to(v, shape) for v in inner[fam]])
-        deltas[k] = outer[k][:, None, None] - inner_min
+    deltas = outer[:, :, None, None] - inner
+    shape = deltas.shape[1:]
 
     weights = np.array([1.0, 1.0, 2.0, 3.0, 3.0])[:, None, None, None]
     score = np.max(deltas / weights, axis=0)        # worst normalized slack
@@ -116,9 +107,7 @@ def exact_gap(
     grid refinement.
     """
     grid = grid or achievability.DEFAULT_GRID
-    inner = achievability.achievable_region(p, grid)
-    outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
-    result = deflation_gap(inner, outer, tol=BISECTION_TOL)
+    result = deflation_gap(*regions(p, grid, converse_grid), tol=BISECTION_TOL)
     bound, components = _analytic_bound_details(p, grid)
     return GapReport(
         exact_gap=result.gap,
@@ -159,7 +148,8 @@ def sweep_symmetric(
         for ib, beta in enumerate(beta_grid):
             p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
             try:
-                gaps[ia, ib] = exact_gap(p, grid, converse_grid).exact_gap
+                gaps[ia, ib] = deflation_gap(*regions(p, grid, converse_grid),
+                                             tol=BISECTION_TOL).gap
             except DegenerateChannelError as exc:
                 missing[(ia, ib)] = str(exc)
     return GapSurface(snr=snr, alpha_grid=alpha_grid, beta_grid=beta_grid,

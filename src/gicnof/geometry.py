@@ -295,28 +295,26 @@ def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMP
 
 
 def envelope_union(
-    frontiers: Sequence[tuple[np.ndarray, np.ndarray]],
+    r1_grid: np.ndarray,
+    values: np.ndarray,
     vertex_sets: Sequence[np.ndarray] | None = None,
     tol: float = 1e-7,
 ) -> Region:
-    """Pointwise-maximum union of sampled frontiers sharing one R1 grid.
+    """Pointwise-maximum union of frontiers sampled on one R1 grid.
 
+    values holds one frontier per row, shape (k, len(r1_grid)) with k >= 1.
     Missing coverage is expressed with -inf frontier values; the result is
     clipped at zero so the region always contains the origin.  When the
     contributing polytopes' vertices are supplied, those lying on the envelope
     (within tol, scale-relative) are kept as the region's candidate extreme
     points, ordered by descending R1.
     """
-    if not frontiers:
-        raise ValueError("envelope_union needs at least one frontier")
-    grid = np.asarray(frontiers[0][0], float)
-    values = []
-    for r1, r2 in frontiers:
-        if r1.shape != grid.shape or not np.allclose(r1, grid, rtol=0.0, atol=1e-12):
-            raise ValueError("all frontiers must share the same R1 grid")
-        values.append(np.asarray(r2, float))
-    env = np.maximum.reduce(values)
-    env = np.maximum(env, 0.0)
+    grid = np.asarray(r1_grid, float)
+    values = np.asarray(values, float)
+    if values.ndim != 2 or values.shape[0] == 0 or values.shape[1:] != grid.shape:
+        raise ValueError(f"envelope_union needs one row of {grid.shape} values per "
+                         f"frontier, got a {values.shape} matrix")
+    env = np.maximum(values.max(axis=0), 0.0)
 
     if vertex_sets is not None:
         all_pts = [np.asarray(v, float).reshape(-1, 2) for v in vertex_sets if len(v)]

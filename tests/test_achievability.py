@@ -3,23 +3,33 @@ import pytest
 
 import formula_oracle as oracle
 from gicnof import (
-    AchievabilityParams,
     ChannelParameters,
     DegenerateChannelError,
     GridSpec,
-    achievable_polytope,
     achievable_region,
     b_basic,
     polytope_vertices,
     rho_domain_sup,
 )
 from gicnof import achievability as ach
+from gicnof.geometry import LinearBound, RateRegionPolytope, batch_vertices
 from conftest import random_channels
 
 
 def as_oracle(p):
     return {"snr1": p.snr_fwd_1, "snr2": p.snr_fwd_2, "inr12": p.inr_12,
             "inr21": p.inr_21, "fb1": p.snr_bwd_1, "fb2": p.snr_bwd_2}
+
+
+FAMILIES = ("r1", "r2", "sum", "two_r1", "two_r2")
+
+
+def oracle_polytope(ch, rho, mu1, mu2):
+    """The seventeen-bound polytope, built from the formula oracle."""
+    rhs = oracle.inner_bound_rhs(ch, rho, mu1, mu2)
+    return RateRegionPolytope(tuple(
+        LinearBound(float(c1), float(c2), r)
+        for (c1, c2), fam in zip(ach.FAMILY_COEFFS, FAMILIES) for r in rhs[fam]))
 
 
 def channels_with_unit_inr(n, seed):
@@ -124,15 +134,20 @@ class TestCoefficients:
                 assert float(ach.a6(p, i, rho, 0.4)) >= -1e-12
                 assert float(ach.a7(p, i, rho, 0.4, 0.6)) >= -1e-12
 
-    def test_a_coeff_pairing(self, p_star):
-        # asymmetric channel: a3/a4/a5 of user i must take the other user's split
+    def test_family_caps_split_pairing(self):
+        # asymmetric channel with mu1 != mu2: a3/a4/a5 of user i must take the
+        # other user's split, a6 its own, so swapping the splits is visible
         p = ChannelParameters(10.0, 20.0, 5.0, 8.0, 10.0, 3.0)
-        params = AchievabilityParams(rho=0.1, mu_1=0.25, mu_2=0.75)
-        co = ach.a_coeff(p, params)
-        assert co.a3[0] == pytest.approx(float(ach.a3(p, 1, 0.1, 0.75)), rel=1e-12)
-        assert co.a3[1] == pytest.approx(float(ach.a3(p, 2, 0.1, 0.25)), rel=1e-12)
-        assert co.a6[0] == pytest.approx(float(ach.a6(p, 1, 0.1, 0.25)), rel=1e-12)
-        assert co.a6[1] == pytest.approx(float(ach.a6(p, 2, 0.1, 0.75)), rel=1e-12)
+        ch = as_oracle(p)
+        want = oracle.inner_bound_rhs(ch, 0.1, 0.25, 0.75)
+        got = ach.bound_rhs_arrays(p, 0.1, 0.25, 0.75)
+        for fam in FAMILIES:
+            assert [float(v) for v in got[fam]] == pytest.approx(want[fam], rel=1e-12)
+        caps = ach.family_caps(p, 0.1, 0.25, 0.75)
+        assert caps.shape == (5,)
+        assert caps == pytest.approx([min(want[fam]) for fam in FAMILIES], rel=1e-12)
+        swapped = oracle.inner_bound_rhs(ch, 0.1, 0.75, 0.25)
+        assert any(abs(min(swapped[fam]) - c) > 1e-3 for fam, c in zip(FAMILIES, caps))
 
     def test_degenerate_inr_rejected(self):
         p = ChannelParameters(10.0, 10.0, 0.0, 5.0, 1.0, 1.0)
@@ -160,32 +175,44 @@ class TestRhoDomain:
 
 class TestAchievablePolytope:
     def test_reference_bounds_at_zero_split(self, p_star):
-        poly = achievable_polytope(p_star, AchievabilityParams(0.0, 0.0, 0.0))
-        r1_caps = sorted(round(b.rhs, 6) for b in poly.bounds if (b.c1, b.c2) == (1.0, 0.0))
+        r1 = ach.bound_rhs_arrays(p_star, 0.0, 0.0, 0.0)["r1"]
+        r1_caps = sorted(round(float(r), 6) for r in r1)
         # a2 = 1.5; the other two caps coincide since a3 vanishes at mu = 0
         assert 1.5 in r1_caps
         assert r1_caps[0] == r1_caps[1] == pytest.approx(1.292481, abs=1e-6)
+        assert ach.family_caps(p_star, 0.0, 0.0, 0.0)[0] == pytest.approx(1.292481, abs=1e-6)
 
     def test_negative_cap_empties_polytope(self):
         p = ChannelParameters(0.1, 0.1, 0.2, 0.2, 0.0, 0.0)  # snr + inr < 1
-        poly = achievable_polytope(p, AchievabilityParams(0.0, 0.0, 0.0))
+        caps = ach.family_caps(p, 0.0, 0.0, 0.0)
+        poly = RateRegionPolytope(tuple(
+            LinearBound(float(c1), float(c2), float(r))
+            for (c1, c2), r in zip(ach.FAMILY_COEFFS, caps)))
         assert poly.is_empty()
         assert polytope_vertices(poly).shape == (0, 2)
+        pts, _ = batch_vertices(ach.FAMILY_COEFFS, caps[:, None])
+        assert pts.shape == (0, 2)
 
     def test_seventeen_bounds_match_oracle(self, p_star):
-        groups = {}
         for p in [p_star] + channels_with_unit_inr(10, 97):
-            params = AchievabilityParams(0.0, 0.5, 0.5)
-            poly = achievable_polytope(p, params)
-            assert len(poly.bounds) == 17
+            groups = ach.bound_rhs_arrays(p, 0.0, 0.5, 0.5)
+            got = [float(r) for fam in FAMILIES for r in groups[fam]]
+            assert len(got) == 17
             want = oracle.inner_bound_rhs(as_oracle(p), 0.0, 0.5, 0.5)
-            flat = [r for fam in ("r1", "r2", "sum", "two_r1", "two_r2") for r in want[fam]]
-            got = [b.rhs for b in poly.bounds]
+            flat = [r for fam in FAMILIES for r in want[fam]]
             assert np.allclose(got, flat, rtol=1e-9)
+            caps = ach.family_caps(p, 0.0, 0.5, 0.5)
+            assert np.allclose(caps, [min(want[fam]) for fam in FAMILIES], rtol=1e-9)
 
-    def test_rho_outside_domain_rejected(self, p_star):
-        with pytest.raises(ValueError):
-            achievable_polytope(p_star, AchievabilityParams(0.9, 0.0, 0.0))
+    def test_family_caps_broadcast_matches_pointwise(self, p_star):
+        grid = GridSpec(rho_points=3, mu_points=4)
+        rho, mu1, mu2 = ach.parameter_grids(p_star, grid)
+        caps = ach.family_caps(p_star, rho, mu1, mu2)
+        assert caps.shape == (5, 3, 4, 4)
+        for ir, i1, i2 in np.ndindex(3, 4, 4):
+            point = ach.family_caps(p_star, rho[ir, 0, 0], mu1[0, i1, 0], mu2[0, 0, i2])
+            assert caps[:, ir, i1, i2] == pytest.approx(point, rel=1e-14)
+        assert np.array_equal(ach.sweep_family_caps(p_star, grid), caps.reshape(5, -1))
 
 
 class TestAchievableRegion:
@@ -237,17 +264,17 @@ class TestAchievableRegion:
         assert fine.r1_max >= coarse.r1_max - 1e-12
 
     def test_sweep_matches_generic_vertex_enumeration(self, p_star):
-        # the vectorized sweep and the generic single-polytope path agree
+        # the vectorized sweep agrees with the generic single-polytope path
+        # run on the oracle's seventeen bounds
         grid = GridSpec(rho_points=3, mu_points=3)
         rho, mu1, mu2 = ach.parameter_grids(p_star, grid)
         caps = ach.sweep_family_caps(p_star, grid)
-        from gicnof.geometry import batch_vertices
         pts, idx = batch_vertices(ach.FAMILY_COEFFS, caps)
         k = 0
         for ir, r in enumerate(rho[:, 0, 0]):
             for i1, m1 in enumerate(mu1[0, :, 0]):
                 for i2, m2 in enumerate(mu2[0, 0, :]):
-                    poly = achievable_polytope(p_star, AchievabilityParams(float(r), float(m1), float(m2)))
+                    poly = oracle_polytope(oracle.P_STAR, float(r), float(m1), float(m2))
                     want = polytope_vertices(poly)
                     got = np.unique(np.round(pts[idx == k], 9), axis=0)
                     assert len(got) == len(want)

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gicnof.cli import main, parse_range, CliError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
           "snr_bwd_1": 10, "snr_bwd_2": 10, "units": "linear"}
@@ -112,6 +115,29 @@ class TestSweep:
         assert lines[0] == "alpha,beta,exact_gap,status"
         assert len(lines) == 1 + 3 * 3
         assert all(line.endswith(",ok") for line in lines[1:])
+
+
+class TestGolden:
+    """Byte-for-byte outputs on the reference channel, pinned across commits.
+
+    The files under tests/golden/ were captured before the bound formulas were
+    collapsed onto the per-family caps arrays; a change that alters any of
+    them changes the numbers the CLI prints.
+    """
+
+    @pytest.mark.parametrize("golden, args", [
+        ("gap.json", ["gap"]),
+        ("region_both.csv", ["region", "--which", "both"]),
+        ("classify.txt", ["classify"]),
+    ])
+    def test_reference_channel(self, golden, args, params_file, capsysbinary):
+        assert main(args + ["--params", params_file]) == 0
+        assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
+
+    def test_sweep_30db(self, capsysbinary):
+        assert main(["sweep", "--snr-db", "30", "--alpha", "0.5:1.0:0.25",
+                     "--beta", "0.5:1.5:0.5"]) == 0
+        assert capsysbinary.readouterr().out == (GOLDEN / "sweep_30db.csv").read_bytes()
 
 
 class TestSimulate:

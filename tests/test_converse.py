@@ -10,18 +10,30 @@ from gicnof import (
     b_conv,
     classify_events,
     contains,
-    converse_polytope,
     converse_region,
     kappa,
     polytope_vertices,
 )
 from gicnof import converse as conv
+from gicnof.achievability import FAMILY_COEFFS
+from gicnof.geometry import LinearBound, RateRegionPolytope
 from conftest import random_channels
 
 
 def as_oracle(p):
     return {"snr1": p.snr_fwd_1, "snr2": p.snr_fwd_2, "inr12": p.inr_12,
             "inr21": p.inr_21, "fb1": p.snr_bwd_1, "fb2": p.snr_bwd_2}
+
+
+FAMILIES = ("r1", "r2", "sum", "two_r1", "two_r2")
+
+
+def oracle_polytope(ch, rho):
+    """The eleven-bound converse polytope, built from the formula oracle."""
+    rhs = oracle.outer_bound_rhs(ch, rho)
+    return RateRegionPolytope(tuple(
+        LinearBound(float(c1), float(c2), r)
+        for (c1, c2), fam in zip(FAMILY_COEFFS, FAMILIES) for r in rhs[fam]))
 
 
 # one channel per sum-cap variant; feedback SNRs chosen unequal so every
@@ -177,21 +189,21 @@ class TestKappa:
 
 class TestConversePolytope:
     def test_reference_single_rate_cap(self, p_star):
-        poly = converse_polytope(p_star, 0.0)
+        poly = oracle_polytope(oracle.P_STAR, 0.0)
         r1_cap = min(b.rhs for b in poly.bounds if (b.c1, b.c2) == (1.0, 0.0))
         assert r1_cap == pytest.approx(2.0, rel=1e-12)
         assert len(poly.bounds) == 11
+        assert conv.family_caps(p_star, 0.0)[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_full_correlation_collapses(self, p_star):
-        poly = converse_polytope(p_star, 1.0)
-        r1_cap = min(b.rhs for b in poly.bounds if (b.c1, b.c2) == (1.0, 0.0))
-        assert r1_cap == pytest.approx(0.0, abs=1e-12)  # k2(1) = 0
+        assert conv.family_caps(p_star, 1.0)[0] == pytest.approx(0.0, abs=1e-12)  # k2(1) = 0
+        assert conv.family_caps(p_star, 1.0)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_membership_matches_inequalities(self):
         rng = np.random.default_rng(139)
         for p in random_channels(10, 149):
             rho = rng.uniform()
-            poly = converse_polytope(p, rho)
+            poly = oracle_polytope(as_oracle(p), rho)
             verts = polytope_vertices(poly)
             if verts.shape[0] == 0:
                 continue
@@ -203,13 +215,25 @@ class TestConversePolytope:
                     continue
                 assert poly.feasible(pt[0], pt[1]) == (slack > 0)
 
+    @pytest.mark.parametrize("p", [CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3, CHANNEL_K6_4])
+    def test_family_caps_match_oracle_minima(self, p):
+        # the vectorized caps against the oracle's family minima, over a rho
+        # array; the four channels cover every sum-cap and weighted-cap variant
+        ch = as_oracle(p)
+        rhos = np.linspace(0.0, 0.95, 20)
+        caps = conv.family_caps(p, rhos)
+        assert caps.shape == (5, rhos.size)
+        for k, rho in enumerate(rhos):
+            want = oracle.outer_bound_rhs(ch, float(rho))
+            assert caps[:, k] == pytest.approx([min(want[f]) for f in FAMILIES], rel=1e-12)
+
 
 class TestConverseRegion:
     def test_envelope_dominates_every_slice(self, p_star):
         region = converse_region(p_star, GridSpec(rho_points=17))
         grid = region.frontier_r1
         for rho in np.linspace(0.0, 1.0, 17):
-            poly = converse_polytope(p_star, float(rho))
+            poly = oracle_polytope(oracle.P_STAR, float(rho))
             # per-slice frontier, evaluated on the shared grid
             caps = [np.full_like(grid, np.inf)]
             for b in poly.bounds:

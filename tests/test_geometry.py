@@ -213,13 +213,13 @@ class TestEnvelopeUnion:
     def test_single_frontier_identity(self):
         r1 = np.linspace(0.0, 2.0, 33)
         r2 = 2.0 - r1
-        region = envelope_union([(r1, r2)])
+        region = envelope_union(r1, r2[None, :])
         assert np.allclose(region.frontier_r2, r2)
 
     def test_identical_frontiers(self):
         r1 = np.linspace(0.0, 2.0, 33)
         r2 = 2.0 - r1
-        region = envelope_union([(r1, r2), (r1, r2.copy())])
+        region = envelope_union(r1, np.vstack([r2, r2.copy()]))
         assert np.allclose(region.frontier_r2, r2)
 
     def test_crossing_triangles(self):
@@ -227,32 +227,36 @@ class TestEnvelopeUnion:
         r1 = np.linspace(0.0, 2.0, 257)
         a = 2.0 - r1
         b = np.maximum(3.0 - 2.0 * r1, -np.inf)
-        region = envelope_union([(r1, a), (r1, np.where(r1 <= 1.5, b, -np.inf))])
+        region = envelope_union(r1, np.vstack([a, np.where(r1 <= 1.5, b, -np.inf)]))
         step = r1[1] - r1[0]
         expected = np.where(r1 <= 1.0, 3.0 - 2.0 * r1, 2.0 - r1)
         assert np.max(np.abs(region.frontier_r2 - np.maximum(expected, 0.0))) <= 2 * step
 
     def test_rejects_mismatched_grids(self):
+        r1 = np.linspace(0, 1, 10)
         with pytest.raises(ValueError):
-            envelope_union([
-                (np.linspace(0, 1, 10), np.ones(10)),
-                (np.linspace(0, 2, 10), np.ones(10)),
-            ])
+            envelope_union(r1, np.ones((2, 11)))      # rows longer than the grid
+        with pytest.raises(ValueError):
+            envelope_union(r1, np.ones(10))           # a bare frontier, not a matrix
+        with pytest.raises(ValueError):
+            envelope_union(r1, np.ones((0, 10)))      # no frontier at all
+        with pytest.raises(ValueError):
+            envelope_union(np.ones((2, 5)), np.ones((2, 5)))  # grid not 1-D
 
     def test_envelope_dominates_inputs(self):
         rng = np.random.default_rng(41)
         r1 = np.linspace(0.0, 3.0, 129)
-        frontiers = [(r1, np.maximum(rng.uniform(1, 3) - rng.uniform(0.5, 2) * r1, -np.inf))
-                     for _ in range(5)]
-        region = envelope_union(frontiers)
-        for _, r2 in frontiers:
+        values = np.array([np.maximum(rng.uniform(1, 3) - rng.uniform(0.5, 2) * r1, -np.inf)
+                           for _ in range(5)])
+        region = envelope_union(r1, values)
+        for r2 in values:
             assert np.all(region.frontier_r2 >= np.minimum(r2, region.frontier_r2.max()) - 1e-12)
 
     def test_preserves_downward_closure(self):
         rng = np.random.default_rng(43)
         r1 = np.linspace(0.0, 2.0, 65)
-        frontiers = [(r1, rng.uniform(0.5, 2.5) - rng.uniform(0.2, 1.5) * r1) for _ in range(4)]
-        region = envelope_union(frontiers)
+        values = np.array([rng.uniform(0.5, 2.5) - rng.uniform(0.2, 1.5) * r1 for _ in range(4)])
+        region = envelope_union(r1, values)
         assert np.all(np.diff(region.frontier_r2) <= 1e-12)
 
 
