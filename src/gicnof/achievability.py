@@ -227,9 +227,17 @@ def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Reg
     segment rather than collapsing to the origin.
     """
     grid = grid or DEFAULT_GRID
-    caps = sweep_family_caps(p, grid)
+    return region_from_caps(p, sweep_family_caps(p, grid), grid.frontier_samples)
+
+
+def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: int) -> Region:
+    """achievable_region from family caps already swept, one column per polytope.
+
+    For callers that also need the caps themselves, such as gap.exact_gap,
+    which evaluates them once for both the region and the analytic bound.
+    """
     pts, _ = batch_vertices(FAMILY_COEFFS, caps)
     pts = pts if pts.size else np.zeros((0, 2))
     pts = np.vstack([pts, single_user_anchors(p)])
     pts = discard_strictly_dominated(pts)  # safe hull prefilter
-    return region_from_points(pts, grid.frontier_samples)
+    return region_from_points(pts, frontier_samples)

@@ -70,10 +70,13 @@ def analytic_deltas(
     return tuple(float(o - i) for o, i in zip(outer, inner))
 
 
-def _analytic_bound_details(p: ChannelParameters, grid: GridSpec):
-    rho, mu1, mu2 = achievability.parameter_grids(p, grid)
-    inner = achievability.family_caps(p, rho, mu1, mu2)  # (5, n_rho, n_mu, n_mu)
-    outer = converse.family_caps(p, rho[:, 0, 0])  # (5, n_rho)
+def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.ndarray):
+    """The bound and its delta components from the inner family caps.
+
+    inner is achievability.family_caps on the parameter grid, shape
+    (5, n_rho, n_mu, n_mu); rho is that grid's correlation axis.
+    """
+    outer = converse.family_caps(p, rho)  # (5, n_rho)
     deltas = outer[:, :, None, None] - inner
     shape = deltas.shape[1:]
 
@@ -89,9 +92,15 @@ def _analytic_bound_details(p: ChannelParameters, grid: GridSpec):
     return float(per_rho[i_rho]), components
 
 
+def _inner_caps(p: ChannelParameters, grid: GridSpec):
+    """The correlation axis and the inner family caps over the parameter grid."""
+    axes = achievability.parameter_grids(p, grid)
+    return axes[0].ravel(), achievability.family_caps(p, *axes)
+
+
 def analytic_gap_bound(p: ChannelParameters, grid: GridSpec | None = None) -> float:
     """Worst-over-correlation, best-over-splits normalized slack bound."""
-    bound, _ = _analytic_bound_details(p, grid or achievability.DEFAULT_GRID)
+    bound, _ = _analytic_bound_details(p, *_inner_caps(p, grid or achievability.DEFAULT_GRID))
     return bound
 
 
@@ -104,11 +113,15 @@ def exact_gap(
 
     Each region uses its module's default grid when none is given; those
     defaults keep the gap stable to well under a hundredth of a bit under
-    grid refinement.
+    grid refinement.  The inner family caps are evaluated once and serve
+    both the inner region and the analytic bound.
     """
     grid = grid or achievability.DEFAULT_GRID
-    result = deflation_gap(*regions(p, grid, converse_grid), tol=BISECTION_TOL)
-    bound, components = _analytic_bound_details(p, grid)
+    rho, caps = _inner_caps(p, grid)
+    inner = achievability.region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
+    outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
+    result = deflation_gap(inner, outer, tol=BISECTION_TOL)
+    bound, components = _analytic_bound_details(p, rho, caps)
     return GapReport(
         exact_gap=result.gap,
         analytic_bound=bound,

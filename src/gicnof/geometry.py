@@ -11,10 +11,27 @@ such that every outer point, pushed down by xi in each coordinate (clamped at
 zero), lands inside the inner region.  Because the inner region is downward
 closed and contains the origin, the per-point predicate is monotone in xi and
 bisection resolves it exactly to tolerance.
+
+Cost model of a convex region built from n polytopes sharing m constraint
+directions (the inner region: m = 5, n = rho x mu x mu grid points):
+
+- batch_vertices tightens every cap to its support value by 2-D LP duality
+  and walks the directions in slope order, a fixed number of passes over
+  arrays of length n: O(n (pairs + m)) time, O(n m) memory;
+- discard_strictly_dominated cuts its k candidates with an O(k) bucketed
+  staircase and sorts only the survivors s: O(k + s log s);
+- convex_hull is a quickhull on the survivors with no sort of its input:
+  O(s h) for h hull vertices.
+
+Tolerances are scale-relative: FEASIBILITY_TOL for emptiness and membership,
+the dominance margin 1e-9, and HULL_EPS for collinearity, ulp twins and
+repeated vertices.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,94 +124,242 @@ class Region:
 # hulls and vertex enumeration
 # ---------------------------------------------------------------------------
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+HULL_EPS = 1e-12           # scale-relative distance below which points are collinear
+
+
+def _hull_eps(pts: np.ndarray) -> float:
+    return HULL_EPS * max(1.0, float(np.abs(pts).max()))
+
+
+def _outside(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed distance of pts beyond the directed line a -> b (positive on its right)."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    return (ey * (pts[:, 0] - a[0]) - ex * (pts[:, 1] - a[1])) / math.hypot(ex, ey)
+
+
+def _lex_extreme(pts: np.ndarray, sign: float) -> int:
+    """Index of the lexicographically smallest point, or the largest for sign -1."""
+    x = sign * pts[:, 0]
+    idx = np.flatnonzero(x == x.min())
+    return int(idx[np.argmin(sign * pts[idx, 1])])
+
+
+def _chain_between(pts: np.ndarray, a: int, b: int, eps: float) -> list[int]:
+    """Indices of the hull vertices right of a -> b, by recursive farthest points.
+
+    Only points more than eps beyond an edge are candidates for it, and the
+    farthest one becomes a vertex.
+    """
+    found = []
+    stack = [(a, b, np.arange(len(pts)))]
+    while stack:
+        a, b, idx = stack.pop()
+        dist = _outside(pts[idx], pts[a], pts[b])
+        beyond = dist > eps
+        if not beyond.any():
+            continue
+        idx, dist = idx[beyond], dist[beyond]
+        f = int(idx[np.argmax(dist)])
+        found.append(f)
+        stack += [(a, f, idx), (f, b, idx)]
+    return found
+
+
+def _drop_collinear(hull: np.ndarray, eps: float) -> np.ndarray:
+    """Remove, one at a time, the vertex nearest the chord of its neighbours,
+    while that vertex lies within eps of it."""
+    while len(hull) > 2:
+        prev, nxt = np.roll(hull, 1, axis=0), np.roll(hull, -1, axis=0)
+        ex, ey = nxt[:, 0] - prev[:, 0], nxt[:, 1] - prev[:, 1]
+        turn = (ex * (hull[:, 1] - prev[:, 1]) - ey * (hull[:, 0] - prev[:, 0]))
+        dist = -turn / np.maximum(np.hypot(ex, ey), np.finfo(float).tiny)
+        k = int(np.argmin(dist))
+        if dist[k] > eps:
+            break
+        hull = np.delete(hull, k, axis=0)
+    return hull
+
+
+def _lex_order(pts: np.ndarray) -> np.ndarray:
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
 
 def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
     """Counterclockwise convex hull with collinear points removed.
 
-    Andrew's monotone chain; handles the degenerate cases (empty input, a
-    single point, all points collinear) that the region pipeline produces for
-    empty or axis-segment regions.  Ordering is deterministic: the hull starts
-    at the lexicographically smallest point.
+    Quickhull, seeded from the lexicographically smallest and largest points,
+    which are always extreme: each side of their chord is split at the point
+    farthest beyond it until no point lies more than eps beyond an edge, with
+    eps = HULL_EPS * max(1, largest |coordinate|).  A last pass drops any
+    vertex within eps of the chord of its two neighbours.  Distances are
+    measured, not the turn direction of a sorted sweep, so points that differ
+    by a few ulps neither split an edge nor push a true vertex out of the
+    hull.
+
+    The result depends only on the set of input points, never on their
+    order or multiplicity: distances decide every choice, and of points tied
+    exactly in distance, which lie on one edge, whichever is chosen first the
+    others follow and the last pass drops the ones inside that edge.  The
+    hull starts at its lexicographically smallest vertex.
+    Degenerate input yields no points, the single distinct point, or, when
+    all points are collinear, the two extremes.  Cost: one O(n) pass per hull
+    vertex over the points still outside, and no sort of the input.
     """
-    pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
+                     dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         return pts
-    pts = np.unique(pts, axis=0)  # lexicographic sort + dedupe
-    if pts.shape[0] == 1:
-        return pts
-    scale = max(1.0, float(np.abs(pts).max()))
-    eps = 1e-12 * scale * scale
-
-    def chain(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= eps:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    # both chains keep their endpoints, so this has >= 2 entries; fully
-    # collinear input reduces to the two extreme points
-    return np.array(lower[:-1] + upper[:-1])
+    first, last = _lex_extreme(pts, 1.0), _lex_extreme(pts, -1.0)
+    if np.array_equal(pts[first], pts[last]):
+        return pts[[first]]
+    eps = _hull_eps(pts)
+    lower = _lex_order(pts[_chain_between(pts, first, last, eps)])
+    upper = _lex_order(pts[_chain_between(pts, last, first, eps)])[::-1]
+    hull = _drop_collinear(np.vstack([pts[[first]], lower, pts[[last]], upper]), eps)
+    start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
+    return np.roll(hull, -start, axis=0) + 0.0  # -0.0 and 0.0 tie: report 0.0
 
 
-def _candidate_vertices(coeffs: np.ndarray, rhs: np.ndarray, tol: float):
-    """Feasible pairwise line intersections for a batch of polytopes.
+_AXES = np.array([[-1.0, 0.0], [0.0, -1.0]])  # R1 >= 0 and R2 >= 0 as upper bounds
+_LAMBDA_TOL = 1e-12        # multipliers and determinants below this count as zero
 
-    coeffs is (m, 2) and is shared by the whole batch; rhs is (m, n), one
-    column per polytope.  The constraint system is coeffs @ v <= rhs and it
-    must already include the axes (as -R1 <= 0, -R2 <= 0).  Returns the
-    candidate points, shape (k, n, 2), and their feasibility mask (k, n).
 
-    In 2-D a feasible point where two independent constraints are tight is an
-    extreme point, so filtering the pairwise intersections by feasibility
-    yields exactly the vertex set.
+@dataclass(frozen=True)
+class _VertexWalk:
+    """What batch_vertices precomputes once for one set of shared directions.
+
+    dirs     the rows of coeffs, then the two axes
+    fold     (row, member, scale) with dirs[row] = scale * dirs[member]: each
+             direction is walked once, as its first row, and the caps of
+             parallel rows fold into that row's cap
+    duals    (k, terms) for each walked row k, with terms (i, lam_i, j, lam_j)
+             such that dirs[k] = lam_i dirs[i] + lam_j dirs[j] and both
+             multipliers are positive; j is None when the second generator
+             is an axis, whose cap is 0.  These are the basic solutions of
+             the LP dual of max dirs[k] . v over the polytope.
+    steps    (lead, a, b, det), one per pair of rows adjacent in the
+             counterclockwise order of their normals, bottom axis first:
+             lead is the earlier row of the pair, a < b its rows and
+             det != 0 their determinant
     """
+
+    dirs: np.ndarray
+    fold: tuple
+    duals: tuple
+    steps: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
+    """The walk for the coeffs array of this shape and these bytes."""
+    coeffs = np.frombuffer(data).reshape(shape)
+    if coeffs.ndim != 2 or coeffs.shape[1] != 2 or coeffs.shape[0] == 0:
+        raise ValueError(f"coeffs must be an (m, 2) array with m >= 1, got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)) or np.any(coeffs < 0) or np.any(coeffs.sum(axis=1) == 0):
+        raise ValueError("constraint directions must be finite, nonnegative and nonzero")
     m = coeffs.shape[0]
-    pair_a, pair_b = [], []
-    for a in range(m):
-        for b in range(a + 1, m):
-            det = coeffs[a, 0] * coeffs[b, 1] - coeffs[a, 1] * coeffs[b, 0]
-            if abs(det) > 1e-12:
-                pair_a.append(a)
-                pair_b.append(b)
-    pa = np.array(pair_a, dtype=int)
-    pb = np.array(pair_b, dtype=int)
-    ca, cb = coeffs[pa], coeffs[pb]
-    det = (ca[:, 0] * cb[:, 1] - ca[:, 1] * cb[:, 0])[:, None]
+    dirs = np.vstack([coeffs, _AXES])
+    unit = coeffs / coeffs.sum(axis=1, keepdims=True)
 
-    ra, rb = rhs[pa], rhs[pb]  # (k, n)
-    with np.errstate(invalid="ignore"):
-        x = (ra * cb[:, 1:2] - rb * ca[:, 1:2]) / det
-        y = (ca[:, 0:1] * rb - cb[:, 0:1] * ra) / det
-        lhs = coeffs[:, 0][None, :, None] * x[:, None, :] + coeffs[:, 1][None, :, None] * y[:, None, :]
-        feasible = np.all(lhs <= rhs[None, :, :] + tol, axis=1)
-    feasible &= np.isfinite(x) & np.isfinite(y)
-    return np.stack([x, y], axis=-1), feasible
+    rows, fold = [], []
+    for i in range(m):
+        rep = next((r for r in rows if np.all(np.abs(unit[r] - unit[i]) <= _LAMBDA_TOL)), None)
+        if rep is None:
+            rows.append(i)
+        else:
+            fold.append((rep, i, float(coeffs[rep].sum() / coeffs[i].sum())))
 
+    def cross(a, b):
+        return float(dirs[a, 0] * dirs[b, 1] - dirs[a, 1] * dirs[b, 0])
 
-def _with_axes(coeffs: np.ndarray, rhs: np.ndarray):
-    axes = np.array([[-1.0, 0.0], [0.0, -1.0]])
-    zeros = np.zeros((2, rhs.shape[1]))
-    return np.vstack([coeffs, axes]), np.vstack([rhs, zeros])
+    generators = rows + [m, m + 1]
+    duals = []
+    for k in rows:
+        terms = []
+        for gi, i in enumerate(generators):
+            for j in generators[gi + 1:]:
+                det = cross(i, j)
+                if abs(det) <= _LAMBDA_TOL or (i >= m and j >= m):
+                    continue
+                lam_i, lam_j = cross(k, j) / det, cross(i, k) / det
+                if lam_i > _LAMBDA_TOL and lam_j > _LAMBDA_TOL:
+                    terms.append((i, lam_i, None, 0.0) if j >= m else (i, lam_i, j, lam_j))
+        duals.append((k, tuple(terms)))
+
+    angle = np.arctan2(coeffs[rows, 1], coeffs[rows, 0])
+    order = [m + 1] + [rows[t] for t in np.argsort(angle, kind="stable")] + [m]
+    steps = []
+    for lead, nxt in zip(order, order[1:] + order[:1]):
+        a, b = min(lead, nxt), max(lead, nxt)
+        det = cross(a, b)
+        if abs(det) > _LAMBDA_TOL:
+            steps.append((lead, a, b, det))
+    return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(steps))
 
 
 def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray, tol: float = FEASIBILITY_TOL):
     """Vertices of every polytope in a batch sharing constraint directions.
 
-    Returns (points, poly_index): the stacked feasible vertices and, for each,
-    the index of the polytope (column of rhs) it belongs to.
+    coeffs is (m, 2), nonnegative, and shared by the batch; rhs is (m, n),
+    one column per polytope {v >= 0 : coeffs @ v <= rhs}.  A column with a
+    NaN or a cap below -tol is empty and yields nothing; a +inf cap is no
+    constraint.
+
+    Method: 2-D LP duality, then a walk.  Every cap is first tightened to
+    its support value h_k = max coeffs[k] . v over the polytope.  By LP
+    duality h_k is the least of rhs_k and lam_i rhs_i + lam_j rhs_j over the
+    pairs whose cone contains coeffs[k], the axes counting with cap 0.
+    Every tightened line then touches the polytope, so the vertices are the
+    intersections of lines adjacent in the counterclockwise order of their
+    normals.  A line the duality tightens, or meets to within rounding,
+    touches at a single vertex, which both of its neighbours already pass
+    through, so the walk emits that vertex once.  The pair table and the
+    order depend on coeffs alone and are computed once per distinct coeffs;
+    the per-polytope work is a fixed number of array passes, O(pairs + m),
+    with no array of shape (pairs, constraints, polytopes).
+
+    Returns (points, poly_index): the stacked vertices and, for each, the
+    index of its polytope (column of rhs).
     """
-    coeffs_full, rhs_full = _with_axes(np.asarray(coeffs, float), np.asarray(rhs, float))
-    pts, mask = _candidate_vertices(coeffs_full, rhs_full, tol)
-    k, n, _ = pts.shape
-    idx = np.broadcast_to(np.arange(n), (k, n))
-    return pts[mask], idx[mask]
+    coeffs = np.asarray(coeffs, float)
+    rhs = np.asarray(rhs, float)
+    walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
+    if rhs.ndim != 2 or rhs.shape[0] != coeffs.shape[0]:
+        raise ValueError(f"rhs must be ({coeffs.shape[0]}, n), got {rhs.shape}")
+
+    live = np.flatnonzero(np.all(rhs >= -tol, axis=0))  # NaN compares False
+    caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
+    for row, member, scale in walk.fold:
+        np.minimum(caps[row], scale * caps[member], out=caps[row])
+
+    m = coeffs.shape[0]
+    support: dict = {m: 0.0, m + 1: 0.0}
+    single = {}    # rows whose line touches the polytope at one vertex
+    eps = HULL_EPS * float(np.max(caps, where=caps < np.inf, initial=1.0))
+    tight = np.empty((len(walk.duals), live.size))
+    best, term, part = np.empty((3, live.size))
+    for (k, terms), h in zip(walk.duals, tight):
+        best.fill(np.inf)
+        for i, lam_i, j, lam_j in terms:
+            np.multiply(caps[i], lam_i, out=term)
+            if j is not None:
+                term += np.multiply(caps[j], lam_j, out=part)
+            np.minimum(best, term, out=best)
+        single[k] = best <= np.add(caps[k], eps, out=term)
+        support[k] = np.minimum(caps[k], best, out=h)
+
+    x = np.empty((len(walk.steps), live.size))
+    y = np.empty_like(x)
+    keep = np.ones(x.shape, bool)
+    for t, (lead, a, b, det) in enumerate(walk.steps):
+        (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
+        x[t] = (support[a] * b1 - support[b] * a1) / det
+        y[t] = (a0 * support[b] - b0 * support[a]) / det
+        if t > 0 and lead < m:
+            keep[t] = ~single[lead]
+    if not np.isfinite(tight).all():
+        keep &= np.isfinite(x) & np.isfinite(y)  # points at infinity of unbounded polytopes
+    return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
 
 
 def polytope_vertices(poly: RateRegionPolytope, tol: float = FEASIBILITY_TOL) -> np.ndarray:
@@ -216,6 +381,26 @@ def polytope_vertices(poly: RateRegionPolytope, tol: float = FEASIBILITY_TOL) ->
 # frontiers and regions
 # ---------------------------------------------------------------------------
 
+def _staircase_precut(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the points that survive an O(n) bucketed dominance test.
+
+    x is cut into buckets at least 2 * tol wide, and a point is cut when some
+    point two or more buckets to its right, hence more than tol to its right,
+    beats it by more than tol in R2.  Every cut point is one the exact pass
+    would drop, and no cut point is the best right neighbour of a survivor,
+    so the exact pass returns the same points with or without the cut.
+    """
+    span = float(x.max() - x.min())
+    buckets = int(min(x.size, span / (2.0 * tol)))
+    if buckets < 3:
+        return np.ones(x.size, bool)  # narrower than three buckets: nothing to compare
+    b = np.minimum(((x - x.min()) * (buckets / span)).astype(np.intp), buckets - 1)
+    top = np.full(buckets + 2, -np.inf)
+    np.maximum.at(top, b, y)
+    right = np.maximum.accumulate(top[::-1])[::-1]  # best R2 in this bucket or beyond
+    return y >= right[b + 2] - tol
+
+
 def discard_strictly_dominated(points: np.ndarray) -> np.ndarray:
     """Drop points that another point beats by a clear margin in both coordinates.
 
@@ -224,11 +409,15 @@ def discard_strictly_dominated(points: np.ndarray) -> np.ndarray:
     plus the origin must maximize, so no hull vertex is ever discarded.  The
     margin is scale-relative so that coordinates equal up to rounding noise
     count as ties, which are always kept.
+
+    Cost: an O(n) bucketed staircase cut (_staircase_precut) removes most
+    dominated points, and the exact pass sorts only the survivors.
     """
     pts = np.asarray(points, float).reshape(-1, 2)
     if pts.shape[0] <= 2:
         return pts
     tol = 1e-9 * max(1.0, float(np.abs(pts).max()))
+    pts = pts[_staircase_precut(pts[:, 0], pts[:, 1], tol)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     p = pts[order]
     x, y = p[:, 0], p[:, 1]
@@ -241,21 +430,22 @@ def discard_strictly_dominated(points: np.ndarray) -> np.ndarray:
 
 
 def pareto_vertices(points: np.ndarray) -> np.ndarray:
-    """Non-dominated points, sorted by ascending R1 (so descending R2)."""
+    """Non-dominated points, sorted by ascending R1 (so descending R2).
+
+    Coordinates within the hull tolerance (HULL_EPS, scale-relative) of each
+    other count as equal.  So of two points a few ulps apart in R1 on a
+    vertical edge only the higher is kept, and a frontier sampled up to the
+    largest R1 does not fall to the lower of the two at its last sample.
+    """
     pts = np.asarray(points, float).reshape(-1, 2)
     if pts.shape[0] == 0:
         return pts
-    keep = []
-    for i, p in enumerate(pts):
-        dominated = np.any(
-            (pts[:, 0] >= p[0]) & (pts[:, 1] >= p[1])
-            & ((pts[:, 0] > p[0]) | (pts[:, 1] > p[1]))
-        )
-        if not dominated:
-            keep.append(i)
-    chain = pts[keep]
-    order = np.argsort(chain[:, 0])
-    return chain[order]
+    eps = _hull_eps(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    no_worse = (x[None, :] >= x[:, None] - eps) & (y[None, :] >= y[:, None] - eps)
+    better = (x[None, :] > x[:, None] + eps) | (y[None, :] > y[:, None] + eps)
+    chain = pts[~np.any(no_worse & better, axis=1)]
+    return chain[np.argsort(chain[:, 0], kind="stable")]
 
 
 def region_from_hull(hull: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:

@@ -263,6 +263,18 @@ class TestAchievableRegion:
         assert np.all(fine.frontier_at(xs) >= coarse.frontier_at(xs) - 1e-9)
         assert fine.r1_max >= coarse.r1_max - 1e-12
 
+    def test_frontier_reaches_the_top_of_the_last_edge(self):
+        # the largest R1 belongs to a point two ulps right of a vertex 0.9
+        # bits higher; the frontier's last sample must not drop to the lower
+        p = ChannelParameters(0.4769523552084404, 5580.244681470092, 949696.4448815222,
+                              8.067220957642936, 235.3395271332977, 6137.299851511473)
+        region = achievable_region(p)
+        caps = ach.sweep_family_caps(p, ach.DEFAULT_GRID)
+        pts = np.vstack([batch_vertices(ach.FAMILY_COEFFS, caps)[0], ach.single_user_anchors(p)])
+        top = pts[pts[:, 0] >= region.r1_max - 1e-12, 1].max()
+        assert region.frontier_r2[-1] == top
+        assert top > 4.84
+
     def test_sweep_matches_generic_vertex_enumeration(self, p_star):
         # the vectorized sweep agrees with the generic single-polytope path
         # run on the oracle's seventeen bounds

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from gicnof import (
     sweep_symmetric,
     symmetric_params,
 )
-from gicnof import achievability, gap
+from gicnof import achievability, converse, gap
 from conftest import random_channels
 
 
@@ -122,6 +124,50 @@ class TestExactGap:
             xs = np.linspace(0.0, inner.r1_max, 257)
             assert np.all(inner.frontier_at(xs) <= outer.frontier_at(xs) + 1e-6)
             assert inner.r1_max <= outer.r1_max + 1e-6
+
+
+# exact_gap used to jump between 0.43 and 1.09 bits under 1e-6 perturbations
+# of this channel, when the inner hull dropped a vertex on ulp twins
+JUMP_CHANNEL = ChannelParameters(0.12122018419010573, 25.61399884579352, 170320.30831363454,
+                                 7677.2898242997735, 0.3410487701846778, 168.03138976708223)
+
+
+def swap_users(p):
+    return ChannelParameters(p.snr_fwd_2, p.snr_fwd_1, p.inr_21, p.inr_12,
+                             p.snr_bwd_2, p.snr_bwd_1)
+
+
+class TestGapProperties:
+    def test_swapping_the_users_keeps_the_gap(self):
+        for p in random_channels(150, 11):
+            assert exact_gap(swap_users(p)).exact_gap == exact_gap(p).exact_gap
+
+    def test_stable_under_tiny_perturbations(self):
+        base = exact_gap(JUMP_CHANNEL).exact_gap
+        assert base == pytest.approx(0.4297110, abs=1e-6)
+        for field in dataclasses.fields(JUMP_CHANNEL):
+            for scale in (1.0 - 1e-6, 1.0 + 1e-6):
+                value = getattr(JUMP_CHANNEL, field.name) * scale
+                p = dataclasses.replace(JUMP_CHANNEL, **{field.name: value})
+                assert abs(exact_gap(p).exact_gap - base) < 1e-6
+
+    def test_doubled_grids_barely_move_the_jump_channel(self):
+        base = exact_gap(JUMP_CHANNEL).exact_gap
+        dense = exact_gap(JUMP_CHANNEL, GridSpec(65, 33, 1024), GridSpec(129, 33, 1024)).exact_gap
+        assert abs(dense - base) < 1e-2
+
+    def test_inner_caps_evaluated_once(self, p_star, monkeypatch):
+        calls = []
+        family_caps = achievability.family_caps
+        monkeypatch.setattr(achievability, "family_caps",
+                            lambda *args: calls.append(1) or family_caps(*args))
+        report = exact_gap(p_star)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.analytic_bound == analytic_gap_bound(p_star)
+        inner = achievability.achievable_region(p_star)
+        outer = converse.converse_region(p_star)
+        assert report.exact_gap == deflation_gap(inner, outer).gap
 
 
 class TestSweepSymmetric:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_channels
+from gicnof import achievability
 from gicnof.geometry import (
+    FEASIBILITY_TOL,
+    GridSpec,
     LinearBound,
     RateRegionPolytope,
     Region,
+    batch_vertices,
     contains,
     convex_hull,
     deflation_gap,
@@ -54,6 +59,118 @@ def vertex_frontier(verts):
 # ---------------------------------------------------------------------------
 # vertex enumeration
 # ---------------------------------------------------------------------------
+
+def all_pairs_vertices(coeffs, rhs, tol=FEASIBILITY_TOL):
+    """Reference enumeration: every feasible pairwise line intersection.
+
+    The constraint system coeffs @ v <= rhs plus the two axes; in 2-D a
+    feasible point where two independent constraints are tight is an
+    extreme point, so the feasible intersections are the vertex set (with
+    repeats where more than two lines meet).  Returns one (k, 2) array of
+    points per column of rhs.
+    """
+    coeffs = np.vstack([np.asarray(coeffs, float), [[-1.0, 0.0], [0.0, -1.0]]])
+    rhs = np.vstack([np.asarray(rhs, float), np.zeros((2, np.shape(rhs)[1]))])
+    m = coeffs.shape[0]
+    out = [[] for _ in range(rhs.shape[1])]
+    for a in range(m):
+        for b in range(a + 1, m):
+            det = coeffs[a, 0] * coeffs[b, 1] - coeffs[a, 1] * coeffs[b, 0]
+            if abs(det) <= 1e-12:
+                continue
+            with np.errstate(invalid="ignore"):
+                x = (rhs[a] * coeffs[b, 1] - rhs[b] * coeffs[a, 1]) / det
+                y = (coeffs[a, 0] * rhs[b] - coeffs[b, 0] * rhs[a]) / det
+                lhs = coeffs[:, :1] * x + coeffs[:, 1:] * y
+                feasible = np.all(lhs <= rhs + tol, axis=0) & np.isfinite(x) & np.isfinite(y)
+            for n in np.flatnonzero(feasible):
+                out[n].append((x[n], y[n]))
+    return [np.array(v, float).reshape(-1, 2) for v in out]
+
+
+def assert_same_vertex_sets(coeffs, rhs, atol=1e-9):
+    """batch_vertices agrees with the all-pairs reference, column by column."""
+    pts, idx = batch_vertices(coeffs, rhs)
+    want = all_pairs_vertices(coeffs, rhs)
+    for n, ref in enumerate(want):
+        got = pts[idx == n]
+        assert (len(got) > 0) == (len(ref) > 0), f"column {n}: emptiness differs"
+        if len(ref) == 0:
+            continue
+        # same point sets up to repeats: the Hausdorff distance is ~0
+        dist = np.abs(got[:, None, :] - ref[None, :, :]).max(axis=2)
+        assert dist.min(axis=1).max() <= atol, f"column {n}: extra vertex"
+        assert dist.min(axis=0).max() <= atol, f"column {n}: missed vertex"
+        # and each vertex once: no two points closer than rounding noise
+        apart = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2) + np.eye(len(got))
+        assert apart.min() > 1e-13, f"column {n}: repeated vertex"
+
+
+class TestBatchVertices:
+    def test_random_directions(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            m = int(rng.integers(1, 7))
+            angles = np.sort(rng.uniform(0.0, np.pi / 2, size=m))
+            coeffs = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.5, 3.0, (m, 1))
+            rhs = rng.uniform(0.0, 4.0, size=(m, 50))
+            assert_same_vertex_sets(coeffs, rhs)
+
+    def test_family_directions(self):
+        rng = np.random.default_rng(61)
+        rhs = rng.uniform(0.0, 5.0, size=(len(FAMILIES), 400))
+        assert_same_vertex_sets(np.array(FAMILIES), rhs)
+
+    def test_repeated_and_parallel_directions(self):
+        coeffs = np.array([[1.0, 1.0], [1.0, 0.0], [2.0, 2.0], [1.0, 0.0], [0.0, 3.0],
+                           [2.0, 1.0], [0.5, 0.5], [4.0, 2.0]])
+        rng = np.random.default_rng(67)
+        rhs = rng.uniform(0.0, 5.0, size=(len(coeffs), 300))
+        rhs[:, :3] = 1.0  # exact ties between parallel rows
+        assert_same_vertex_sets(coeffs, rhs)
+
+    def test_slightly_negative_caps(self):
+        rng = np.random.default_rng(71)
+        rhs = rng.uniform(0.0, 3.0, size=(len(FAMILIES), 200))
+        rows = rng.integers(0, len(FAMILIES), size=200)
+        rhs[rows, np.arange(200)] = -rng.uniform(0.0, FEASIBILITY_TOL, size=200)
+        assert_same_vertex_sets(np.array(FAMILIES), rhs, atol=1e-8)
+
+    def test_nan_and_empty_columns(self):
+        coeffs = np.array(FAMILIES)
+        rhs = np.full((5, 4), 2.0)
+        rhs[2, 1] = np.nan
+        rhs[0, 2] = -0.5
+        rhs[:, 3] = np.nan
+        pts, idx = batch_vertices(coeffs, rhs)
+        assert set(idx.tolist()) == {0}
+        assert all(len(v) == 0 for v in all_pairs_vertices(coeffs, rhs)[1:])
+        assert batch_vertices(coeffs, np.zeros((5, 0)))[0].shape == (0, 2)
+
+    def test_unbounded_and_infinite_caps(self):
+        # only an R1 cap: the polytope is a strip, whose finite vertices remain
+        pts, _ = batch_vertices(np.array([[1.0, 0.0]]), np.array([[1.5]]))
+        assert {tuple(v) for v in pts} == {(0.0, 0.0), (1.5, 0.0)}
+        # a +inf cap is no constraint
+        rhs = np.array([[np.inf], [1.0], [1.5]])
+        pts, _ = batch_vertices(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), rhs)
+        assert {tuple(np.round(v, 12)) for v in pts} == {(0.0, 0.0), (1.5, 0.0), (0.5, 1.0),
+                                                          (0.0, 1.0)}
+
+    def test_swept_caps_of_random_channels(self):
+        # the caps the inner sweep produces, with their exact ties and
+        # redundant families
+        for p in random_channels(6, 73):
+            caps = achievability.sweep_family_caps(p, GridSpec(rho_points=9, mu_points=5))
+            assert_same_vertex_sets(achievability.FAMILY_COEFFS, caps, atol=1e-9 * max(1.0, caps.max()))
+
+    def test_rejects_invalid_directions(self):
+        for coeffs in ([[1.0, -0.5]], [[0.0, 0.0]], [[np.nan, 1.0]], np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                batch_vertices(np.array(coeffs), np.ones((len(coeffs), 1)))
+        with pytest.raises(ValueError):
+            batch_vertices(np.array(FAMILIES), np.ones((4, 2)))
+
 
 class TestPolytopeVertices:
     def test_unit_square(self):
@@ -119,6 +236,14 @@ def jarvis_march(points):
     return pts[hull]
 
 
+TWIN_X = 0.8977457824421494
+TWIN_X2 = np.nextafter(np.nextafter(TWIN_X, 1.0), 1.0)  # two ulps to the right
+TWIN_CLOUD = np.array([
+    [0.0, 0.0], [TWIN_X2, 0.0], [TWIN_X2, 3.943100091165287], [TWIN_X, 3.943100091165289],
+    [TWIN_X, 4.847496449144856], [0.881713, 4.865027], [0.0, 6.223186],
+])
+
+
 class TestConvexHull:
     def test_triangle_passthrough(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
@@ -158,6 +283,31 @@ class TestConvexHull:
         hull = convex_hull(pts)
         assert np.allclose(convex_hull(hull), hull)
 
+    def test_ulp_twins_keep_the_true_vertex(self):
+        # a vertical edge whose points differ in R1 by two ulps: a sorted
+        # sweep with an eps-collinear rule used to pop (x, 4.847...)
+        hull = convex_hull(TWIN_CLOUD)
+        assert (TWIN_X, 4.847496449144856) in {tuple(v) for v in hull}
+        assert hull.tolist() == [[0.0, 0.0], [TWIN_X2, 0.0], [TWIN_X, 4.847496449144856],
+                                 [0.0, 6.223186]]
+
+    def test_independent_of_input_order(self):
+        rng = np.random.default_rng(31)
+        clouds = [TWIN_CLOUD, rng.normal(size=(300, 2)),
+                  np.round(rng.uniform(size=(300, 2)), 2)]  # many exact ties
+        for pts in clouds:
+            hull = convex_hull(pts)
+            for _ in range(5):
+                shuffled = np.vstack([pts, pts[:7]])[rng.permutation(len(pts) + 7)]
+                assert np.array_equal(convex_hull(shuffled), hull)
+
+    def test_mirror_image(self):
+        # swapping the coordinates mirrors the hull: same vertex set
+        rng = np.random.default_rng(37)
+        for pts in (TWIN_CLOUD, rng.normal(size=(500, 2)), np.abs(rng.normal(size=(500, 2)))):
+            mirrored = {tuple(v) for v in convex_hull(pts[:, ::-1])}
+            assert mirrored == {tuple(v[::-1]) for v in convex_hull(pts)}
+
 
 class TestDominanceFilter:
     def test_keeps_all_hull_vertices(self):
@@ -173,6 +323,57 @@ class TestDominanceFilter:
         base = np.array([[2.0, 0.0], [2.0 - 1e-13, 0.0], [2.0, 1.0], [0.5, 2.0]])
         kept = discard_strictly_dominated(base)
         assert (np.abs(kept[:, 0] - 2.0) < 1e-9).sum() >= 2
+
+    @staticmethod
+    def quadratic_definition(pts):
+        """Points no other point beats by more than the margin in both coordinates,
+        in lexicographic order."""
+        tol = 1e-9 * max(1.0, float(np.abs(pts).max()))
+        beaten = ((pts[None, :, 0] > pts[:, None, 0] + tol)
+                  & (pts[None, :, 1] > pts[:, None, 1] + tol)).any(axis=1)
+        kept = pts[~beaten]
+        return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
+
+    def test_matches_quadratic_definition(self):
+        rng = np.random.default_rng(43)
+        staircase = np.repeat(rng.uniform(0, 3, size=(40, 2)), 5, axis=0)  # exact repeats
+        staircase[::3, 1] = np.round(staircase[::3, 1], 1)                 # tied R2 levels
+        clouds = [
+            np.abs(rng.normal(size=(2000, 2))),
+            staircase,
+            np.column_stack([rng.uniform(0, 1, 500), 1 - rng.uniform(0, 1, 500) ** 2]),
+            # narrower in R1 than one bucket of twice the margin, then a few
+            # buckets wide, where bucket edges sit near the margin
+            np.column_stack([1.0 + rng.uniform(0, 1.5e-9, 300), rng.uniform(0, 1, 300)]),
+            np.column_stack([1.0 + rng.uniform(0, 9e-9, 300), rng.uniform(0, 1e-8, 300)]),
+            np.column_stack([np.full(50, 0.7), rng.uniform(0, 1, 50)]),
+        ]
+        for pts in clouds:
+            got = discard_strictly_dominated(pts)
+            assert np.array_equal(got, self.quadratic_definition(pts))
+
+    def test_region_unchanged_by_the_prefilter(self):
+        rng = np.random.default_rng(47)
+        clouds = [TWIN_CLOUD, np.abs(rng.normal(size=(3000, 2)))]
+        for p in random_channels(4, 79):
+            caps = achievability.sweep_family_caps(p, GridSpec(rho_points=9, mu_points=5))
+            clouds.append(np.vstack([batch_vertices(achievability.FAMILY_COEFFS, caps)[0],
+                                     achievability.single_user_anchors(p)]))
+        for pts in clouds:
+            full = region_from_points(pts)
+            cut = region_from_points(discard_strictly_dominated(pts))
+            for field in ("vertices", "frontier_r1", "frontier_r2"):
+                assert np.array_equal(getattr(full, field), getattr(cut, field))
+
+
+class TestRegionFromPoints:
+    def test_last_frontier_sample_takes_the_upper_twin(self):
+        # R1 max belongs to the lower points, two ulps right of the true
+        # vertex (x, 4.847...); the frontier must end at that vertex's height
+        region = region_from_points(TWIN_CLOUD)
+        assert region.r1_max == TWIN_X2
+        assert region.frontier_r2[-1] == 4.847496449144856
+        assert np.all(np.diff(region.frontier_r2) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
