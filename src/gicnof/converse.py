@@ -292,19 +292,19 @@ def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Regio
         zero = np.zeros(grid.frontier_samples)
         return Region(vertices=np.zeros((1, 2)), frontier_r1=zero, frontier_r2=zero, convex=False)
 
-    b_r1, b_r2, b_sum, b_2r1, b_1r2 = (caps[k] for k in range(5))
-    reach = np.minimum.reduce([b_r1, b_sum, b_2r1 / 2.0, b_1r2])
+    # family k reads c1 R1 + c2 R2 <= cap_k: the R1 reach is the least
+    # cap_k / c1 over c1 > 0, the frontier the least (cap_k - c1 R1) / c2 over c2 > 0
+    c1, c2 = FAMILY_COEFFS.T
+    reach = np.min(caps[c1 > 0] / c1[c1 > 0, None], axis=0)
     r1_grid = np.linspace(0.0, float(reach[feasible].max()), grid.frontier_samples)
 
     r = r1_grid[None, :]
-    frontier = np.minimum.reduce([
-        np.broadcast_to(b_r2[:, None], (rho.size, r1_grid.size)),
-        b_sum[:, None] - r,
-        b_2r1[:, None] - 2.0 * r,
-        (b_1r2[:, None] - r) / 2.0,
-    ])
+    up = c2 > 0
+    frontier = caps[up, :, None] - c1[up, None, None] * r
+    frontier /= c2[up, None, None]  # in place: one (families, rho, samples) temporary
+    frontier = np.min(frontier, axis=0)
     frontier = np.where(feasible[:, None] & (r <= reach[:, None] + FEASIBILITY_TOL),
                         frontier, -np.inf)
 
     pts, _ = batch_vertices(FAMILY_COEFFS, caps[:, feasible])
-    return envelope_union(r1_grid, frontier[feasible], vertex_sets=[pts] if pts.size else None)
+    return envelope_union(r1_grid, frontier[feasible], vertices=pts if pts.size else None)

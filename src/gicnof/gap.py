@@ -80,7 +80,7 @@ def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.nda
     deltas = outer[:, :, None, None] - inner
     shape = deltas.shape[1:]
 
-    weights = np.array([1.0, 1.0, 2.0, 3.0, 3.0])[:, None, None, None]
+    weights = achievability.FAMILY_COEFFS.sum(axis=1)[:, None, None, None]
     score = np.max(deltas / weights, axis=0)        # worst normalized slack
     per_rho_flat = score.reshape(shape[0], -1)
     best_mu = per_rho_flat.argmin(axis=1)           # best splits at each rho

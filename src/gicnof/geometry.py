@@ -6,6 +6,12 @@ Regions are represented by their extreme points plus a sampled Pareto
 frontier; convex regions (hulls of vertex unions) and non-convex envelope
 unions (pointwise-maximum frontiers) share the same container.
 
+Every region is downward closed, so one rule decides membership for both
+kinds: a point is inside iff both coordinates are nonnegative, R1 is at most
+the region's largest R1, and R2 is at most the upper boundary at that R1.
+The boundary of a convex region is the Pareto chain of its hull, exact
+piecewise-linear; that of an envelope union is its sampled frontier.
+
 The deflation gap between an inner and an outer region is the smallest xi
 such that every outer point, pushed down by xi in each coordinate (clamped at
 zero), lands inside the inner region.  Because the inner region is downward
@@ -21,7 +27,9 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
 - discard_strictly_dominated cuts its k candidates with an O(k) bucketed
   staircase and sorts only the survivors s: O(k + s log s);
 - convex_hull is a quickhull on the survivors with no sort of its input:
-  O(s h) for h hull vertices.
+  O(s h) for h hull vertices;
+- deflation_gap builds the inner boundary once and tests c candidates per
+  bisection round against it: O(c log h) per round.
 
 Tolerances are scale-relative: FEASIBILITY_TOL for emptiness and membership,
 the dominance margin 1e-9, and HULL_EPS for collinearity, ulp twins and
@@ -98,9 +106,9 @@ class Region:
                regions, descending-R1 frontier order for envelope unions.
     frontier_r1, frontier_r2
                the Pareto frontier R1 -> max R2 sampled on a uniform grid.
-    convex     True for hull-based regions (membership uses exact
-               half-plane tests), False for envelope unions (membership
-               compares against the sampled frontier).
+    convex     True for hull-based regions, whose upper boundary is the
+               exact Pareto chain of the vertices; False for envelope
+               unions, whose upper boundary is the sampled frontier.
     """
 
     vertices: np.ndarray
@@ -297,13 +305,13 @@ def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
     return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(steps))
 
 
-def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray, tol: float = FEASIBILITY_TOL):
+def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     """Vertices of every polytope in a batch sharing constraint directions.
 
     coeffs is (m, 2), nonnegative, and shared by the batch; rhs is (m, n),
     one column per polytope {v >= 0 : coeffs @ v <= rhs}.  A column with a
-    NaN or a cap below -tol is empty and yields nothing; a +inf cap is no
-    constraint.
+    NaN or a cap below -FEASIBILITY_TOL is empty and yields nothing; a +inf
+    cap is no constraint.
 
     Method: 2-D LP duality, then a walk.  Every cap is first tightened to
     its support value h_k = max coeffs[k] . v over the polytope.  By LP
@@ -327,7 +335,7 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray, tol: float = FEASIBILITY
     if rhs.ndim != 2 or rhs.shape[0] != coeffs.shape[0]:
         raise ValueError(f"rhs must be ({coeffs.shape[0]}, n), got {rhs.shape}")
 
-    live = np.flatnonzero(np.all(rhs >= -tol, axis=0))  # NaN compares False
+    live = np.flatnonzero(np.all(rhs >= -FEASIBILITY_TOL, axis=0))  # NaN compares False
     caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
     for row, member, scale in walk.fold:
         np.minimum(caps[row], scale * caps[member], out=caps[row])
@@ -362,7 +370,7 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray, tol: float = FEASIBILITY
     return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
 
 
-def polytope_vertices(poly: RateRegionPolytope, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:
     """All extreme points of a polytope, deduplicated and hull-ordered.
 
     Empty polytopes yield an empty array.
@@ -371,7 +379,7 @@ def polytope_vertices(poly: RateRegionPolytope, tol: float = FEASIBILITY_TOL) ->
         raise ValueError("polytope must have at least one bound")
     coeffs = np.array([[b.c1, b.c2] for b in poly.bounds])
     rhs = np.array([[b.rhs] for b in poly.bounds])
-    pts, _ = batch_vertices(coeffs, rhs, tol)
+    pts, _ = batch_vertices(coeffs, rhs)
     if pts.shape[0] == 0:
         return np.empty((0, 2))
     return convex_hull(np.round(pts, 12))
@@ -448,19 +456,22 @@ def pareto_vertices(points: np.ndarray) -> np.ndarray:
     return chain[np.argsort(chain[:, 0], kind="stable")]
 
 
-def region_from_hull(hull: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:
-    """Convex Region from counterclockwise hull vertices.
+def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:
+    """Convex Region from an arbitrary point cloud.
 
-    The Pareto frontier of a convex downward-closed region is the chain of
-    non-dominated hull vertices, so sampling it is exact piecewise-linear
-    interpolation.
+    The origin and the axis projections of the extreme coordinates are always
+    included, so the result is downward closed even when the input points all
+    lie off the axes.  The Pareto frontier of a convex downward-closed region
+    is the chain of non-dominated hull vertices, so sampling it is exact
+    piecewise-linear interpolation.
     """
-    hull = np.asarray(hull, float).reshape(-1, 2)
-    if hull.shape[0] == 0:
-        hull = np.zeros((1, 2))
+    pts = np.asarray(points, float).reshape(-1, 2)
+    anchors = [[0.0, 0.0]]
+    if pts.size:
+        anchors += [[float(pts[:, 0].max()), 0.0], [0.0, float(pts[:, 1].max())]]
+    hull = convex_hull(np.vstack([pts, anchors]))
     chain = pareto_vertices(hull)
-    r1_max = float(hull[:, 0].max())
-    grid = np.linspace(0.0, r1_max, frontier_samples)
+    grid = np.linspace(0.0, float(hull[:, 0].max()), frontier_samples)
     return Region(
         vertices=hull,
         frontier_r1=grid,
@@ -469,26 +480,10 @@ def region_from_hull(hull: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES)
     )
 
 
-def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:
-    """Convex Region from an arbitrary point cloud.
-
-    The origin and the axis projections of the extreme coordinates are always
-    included, so the result is downward closed even when the input points all
-    lie off the axes.
-    """
-    pts = np.asarray(points, float).reshape(-1, 2)
-    anchors = [[0.0, 0.0]]
-    if pts.size:
-        anchors += [[float(pts[:, 0].max()), 0.0], [0.0, float(pts[:, 1].max())]]
-    pts = np.vstack([pts, anchors])
-    return region_from_hull(convex_hull(pts), frontier_samples)
-
-
 def envelope_union(
     r1_grid: np.ndarray,
     values: np.ndarray,
-    vertex_sets: Sequence[np.ndarray] | None = None,
-    tol: float = 1e-7,
+    vertices: np.ndarray | None = None,
 ) -> Region:
     """Pointwise-maximum union of frontiers sampled on one R1 grid.
 
@@ -496,8 +491,8 @@ def envelope_union(
     Missing coverage is expressed with -inf frontier values; the result is
     clipped at zero so the region always contains the origin.  When the
     contributing polytopes' vertices are supplied, those lying on the envelope
-    (within tol, scale-relative) are kept as the region's candidate extreme
-    points, ordered by descending R1.
+    (within 1e-7, scale-relative) are kept as the region's candidate extreme
+    points, ordered by descending R1; otherwise the frontier samples are.
     """
     grid = np.asarray(r1_grid, float)
     values = np.asarray(values, float)
@@ -506,11 +501,10 @@ def envelope_union(
                          f"frontier, got a {values.shape} matrix")
     env = np.maximum(values.max(axis=0), 0.0)
 
-    if vertex_sets is not None:
-        all_pts = [np.asarray(v, float).reshape(-1, 2) for v in vertex_sets if len(v)]
-        pts = np.concatenate(all_pts) if all_pts else np.zeros((1, 2))
+    if vertices is not None:
+        pts = np.asarray(vertices, float).reshape(-1, 2)
         scale = max(1.0, float(env.max()), float(grid[-1]))
-        on_env = pts[:, 1] >= np.interp(pts[:, 0], grid, env) - tol * scale
+        on_env = pts[:, 1] >= np.interp(pts[:, 0], grid, env) - 1e-7 * scale
         verts = np.unique(np.round(pts[on_env], 12), axis=0)[::-1]
     else:
         verts = np.column_stack([grid, env])[::-1]
@@ -521,43 +515,34 @@ def envelope_union(
 # membership
 # ---------------------------------------------------------------------------
 
-def _points_in_region(r: Region, pts: np.ndarray, tol: float) -> np.ndarray:
-    pts = np.asarray(pts, float).reshape(-1, 2)
-    if not r.convex:
-        inside = (pts >= -tol).all(axis=1)
-        inside &= pts[:, 0] <= r.r1_max + tol
-        inside &= pts[:, 1] <= r.frontier_at(pts[:, 0]) + tol
-        return inside
-
-    hull = r.vertices
-    if hull.shape[0] == 1:
-        return np.hypot(pts[:, 0] - hull[0, 0], pts[:, 1] - hull[0, 1]) <= tol
-    if hull.shape[0] == 2:
-        return _segment_distance(pts, hull[0], hull[1]) <= tol
-    edges = np.roll(hull, -1, axis=0) - hull
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    # signed distance to each edge line, positive on the interior side (CCW)
-    dx = pts[:, None, 0] - hull[None, :, 0]
-    dy = pts[:, None, 1] - hull[None, :, 1]
-    signed = (edges[None, :, 0] * dy - edges[None, :, 1] * dx) / lengths[None, :]
-    return (signed >= -tol).all(axis=1)
+def _boundary(r: Region) -> tuple[float, np.ndarray, np.ndarray]:
+    """The region's largest R1 and the knots (R1, R2) of its upper boundary,
+    by ascending R1."""
+    if r.convex:
+        chain = pareto_vertices(r.vertices)
+        return r.r1_max, chain[:, 0], chain[:, 1]
+    return r.r1_max, r.frontier_r1, r.frontier_r2
 
 
-def _segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(pts))
-    proj = a + t[:, None] * ab
-    return np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+def _points_in_region(boundary, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of each row of pts in the region of this _boundary."""
+    r1_max, knot_r1, knot_r2 = boundary
+    inside = (pts >= -tol).all(axis=1)
+    inside &= pts[:, 0] <= r1_max + tol
+    inside &= pts[:, 1] <= np.interp(pts[:, 0], knot_r1, knot_r2) + tol
+    return inside
 
 
 def contains(r: Region, pt: Sequence[float], tol: float = FEASIBILITY_TOL) -> bool:
     """Whether pt lies in the region within tolerance.
 
-    Convex regions use an exact half-plane test against the hull; envelope
-    regions compare against the sampled frontier.
+    The region is downward closed, so pt is inside iff pt >= -tol,
+    pt[0] <= r1_max + tol and pt[1] lies at most tol above the upper
+    boundary at pt[0]: the hull's Pareto chain for a convex region, the
+    sampled frontier for an envelope union.
     """
-    return bool(_points_in_region(r, np.asarray(pt, float).reshape(1, 2), tol)[0])
+    pts = np.asarray(pt, float).reshape(1, 2)
+    return bool(_points_in_region(_boundary(r), pts, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +564,7 @@ def _check_downward_closed(r: Region, name: str) -> None:
         raise ValueError(f"{name} region is not downward closed (frontier increases)")
 
 
-def deflation_gap(
-    inner: Region,
-    outer: Region,
-    tol: float = BISECTION_TOL,
-    membership_tol: float = FEASIBILITY_TOL,
-) -> DeflationResult:
+def deflation_gap(inner: Region, outer: Region, tol: float = BISECTION_TOL) -> DeflationResult:
     """Smallest xi (within tol) deflating every outer point into the inner region.
 
     Candidates are the outer frontier samples plus the outer vertex set; exact
@@ -592,7 +572,9 @@ def deflation_gap(
     frontier points by up to a grid step.  Each candidate's minimal xi is found
     by bisection (the membership predicate is monotone in xi for a
     downward-closed inner region containing the origin), and the gap is the
-    maximum over candidates, reported with its witness point.
+    maximum over candidates, reported with its witness point.  Membership is
+    the rule of contains at FEASIBILITY_TOL, against the inner boundary
+    built once per call, so a round costs O(candidates x log boundary knots).
     """
     _check_downward_closed(inner, "inner")
     _check_downward_closed(outer, "outer")
@@ -610,7 +592,8 @@ def deflation_gap(
     hi = np.full(cand.shape[0], hi_cap)
 
     # candidates already inside need no deflation
-    inside0 = _points_in_region(inner, cand, membership_tol)
+    boundary = _boundary(inner)
+    inside0 = _points_in_region(boundary, cand, FEASIBILITY_TOL)
     hi[inside0] = 0.0
 
     while True:
@@ -619,7 +602,7 @@ def deflation_gap(
             break
         mid = 0.5 * (lo + hi)
         deflated = np.maximum(cand[active] - mid[active, None], 0.0)
-        ok = _points_in_region(inner, deflated, membership_tol)
+        ok = _points_in_region(boundary, deflated, FEASIBILITY_TOL)
         idx = np.flatnonzero(active)
         hi[idx[ok]] = mid[idx[ok]]
         lo[idx[~ok]] = mid[idx[~ok]]

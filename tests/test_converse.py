@@ -266,6 +266,18 @@ class TestConverseRegion:
         ys = region.frontier_at(region.vertices[:, 0])
         assert np.all(region.vertices[:, 1] >= ys - 1e-6 * 2.0)
 
+    def test_membership_against_the_sampled_frontier(self, p_star):
+        region = converse_region(p_star)
+        assert not region.convex
+        step = region.frontier_r1[1]
+        for x in np.concatenate([region.frontier_r1[::37], region.frontier_r1[:-1:41] + step / 3]):
+            y = float(region.frontier_at(x))
+            assert contains(region, (x, y - 2e-9))
+            assert not contains(region, (x, y + 2e-9))
+        assert contains(region, (region.r1_max, 0.0))
+        assert not contains(region, (region.r1_max + 2e-9, 0.0))
+        assert not contains(region, (region.r1_max + 1e-6, 0.0))
+
     def test_degenerate_snr_propagates(self):
         # scenario (4, x) selects a sum-cap variant dividing by snr_fwd_1
         p = ChannelParameters(0.0, 6.0, 3.0, 4.0, 1.0, 1.0)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_channels
 from gicnof import achievability
+from gicnof.gap import regions
 from gicnof.geometry import (
     FEASIBILITY_TOL,
     GridSpec,
@@ -380,6 +381,70 @@ class TestRegionFromPoints:
 # membership
 # ---------------------------------------------------------------------------
 
+def segment_distance(pts, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0) if denom > 0 else np.zeros(len(pts))
+    proj = a + t[:, None] * ab
+    return np.hypot(pts[:, 0] - proj[:, 0], pts[:, 1] - proj[:, 1])
+
+
+def halfplane_signed_distance(hull, pts):
+    """Least signed distance of pts to the edge lines of a CCW hull, positive inside."""
+    edges = np.roll(hull, -1, axis=0) - hull
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    dx = pts[:, None, 0] - hull[None, :, 0]
+    dy = pts[:, None, 1] - hull[None, :, 1]
+    return ((edges[None, :, 0] * dy - edges[None, :, 1] * dx) / lengths[None, :]).min(axis=1)
+
+
+def halfplane_points_in_region(r, pts, tol):
+    """Reference membership for a convex region: distance to the hull.
+
+    A single vertex is a point, two vertices a segment, and a polygon is
+    tested against every edge's half-plane, a (points x edges) array.
+    """
+    pts = np.asarray(pts, float).reshape(-1, 2)
+    hull = r.vertices
+    if hull.shape[0] == 1:
+        return np.hypot(pts[:, 0] - hull[0, 0], pts[:, 1] - hull[0, 1]) <= tol
+    if hull.shape[0] == 2:
+        return segment_distance(pts, hull[0], hull[1]) <= tol
+    return halfplane_signed_distance(hull, pts) >= -tol
+
+
+def halfplane_deflation_gap(inner, outer, tol=1e-4):
+    """deflation_gap's candidates and bisection over the reference membership."""
+    cand = np.vstack([np.column_stack([outer.frontier_r1, outer.frontier_r2]),
+                      outer.vertices.reshape(-1, 2)])
+    cand = cand[(cand[:, 0] >= 0) & (cand[:, 1] >= 0)]
+    if cand.shape[0] == 0:
+        cand = np.zeros((1, 2))
+    lo = np.zeros(cand.shape[0])
+    hi = np.full(cand.shape[0], max(float(cand.max()), 0.0))
+    hi[halfplane_points_in_region(inner, cand, FEASIBILITY_TOL)] = 0.0
+    while True:
+        active = hi - lo > tol
+        if not np.any(active):
+            break
+        mid = 0.5 * (lo + hi)
+        deflated = np.maximum(cand[active] - mid[active, None], 0.0)
+        ok = halfplane_points_in_region(inner, deflated, FEASIBILITY_TOL)
+        idx = np.flatnonzero(active)
+        hi[idx[ok]] = mid[idx[ok]]
+        lo[idx[~ok]] = mid[idx[~ok]]
+    worst = int(np.argmax(hi))
+    return float(hi[worst]), (float(cand[worst, 0]), float(cand[worst, 1]))
+
+
+def convex_test_regions():
+    rng = np.random.default_rng(101)
+    out = [region_from_points(polytope_vertices(random_polytope(rng))) for _ in range(10)]
+    out.append(region_from_points(TWIN_CLOUD))
+    grid = GridSpec(rho_points=9, mu_points=5)
+    return out + [achievability.achievable_region(p, grid) for p in random_channels(10, 103)]
+
+
 class TestContains:
     def test_origin_always_inside(self):
         region = region_from_points(np.array([[1.0, 2.0], [2.0, 0.5]]))
@@ -404,6 +469,44 @@ class TestContains:
                 if abs(slack) < 1e-6 or abs(pt[0]) < 1e-6 or abs(pt[1]) < 1e-6:
                     continue
                 assert contains(region, pt, 1e-9) == direct
+
+    def test_matches_halfplane_reference_off_the_boundary(self):
+        rng = np.random.default_rng(109)
+        for region in convex_test_regions():
+            top = region.vertices.max(axis=0)
+            pts = rng.uniform(-0.1, 1.1, size=(300, 2)) * top
+            clear = np.abs(halfplane_signed_distance(region.vertices, pts)) > 1e-6
+            want = halfplane_points_in_region(region, pts[clear], 1e-9)
+            got = [contains(region, pt, 1e-9) for pt in pts[clear]]
+            assert got == want.tolist()
+            assert want.any() and not want.all()
+
+    def test_hull_vertices_and_edge_midpoints_inside(self):
+        for region in convex_test_regions():
+            hull = region.vertices
+            mids = 0.5 * (hull + np.roll(hull, -1, axis=0))
+            for pt in np.vstack([hull, mids]):
+                assert contains(region, pt, 1e-9)
+
+    def test_origin_only_region(self):
+        region = region_from_points(np.zeros((0, 2)))
+        cases = {(0.0, 0.0): True, (5e-10, 5e-10): True, (1e-6, 0.0): False,
+                 (0.0, 1e-6): False, (-1e-6, 0.0): False, (1e-6, 1e-6): False}
+        for pt, inside in cases.items():
+            assert contains(region, pt) == inside
+            assert halfplane_points_in_region(region, pt, FEASIBILITY_TOL)[0] == inside
+
+    def test_segments_along_the_axes(self):
+        on = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.7, 1e-10)]
+        off = [(1.0, 1e-6), (1.0, -1e-6), (2.0 + 1e-6, 0.0), (-1e-6, 0.0), (2.0, 1e-6)]
+        for flip in (False, True):
+            region = region_from_points(np.array([[0.0, 2.0] if flip else [2.0, 0.0]]))
+            assert len(region.vertices) == 2
+            for pts, inside in ((on, True), (off, False)):
+                for pt in pts:
+                    pt = pt[::-1] if flip else pt
+                    assert contains(region, pt) == inside, (flip, pt)
+                    assert halfplane_points_in_region(region, pt, FEASIBILITY_TOL)[0] == inside
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +655,12 @@ class TestDeflationGap:
                             lo = mid
                     area_worst = max(area_worst, hi)
             assert area_worst <= frontier_gap + 2e-3
+
+    def test_matches_halfplane_reference_bit_for_bit(self):
+        for p in random_channels(20, 20260401):
+            inner, outer = regions(p)
+            result = deflation_gap(inner, outer)
+            assert (result.gap, result.witness) == halfplane_deflation_gap(inner, outer)
 
     def test_rejects_non_downward_closed(self):
         r1 = np.linspace(0.0, 1.0, 16)
