@@ -19,7 +19,7 @@ import numpy as np
 from . import achievability, converse
 from .channel import ChannelParameters, SymmetricPoint, symmetric_params
 from .errors import DegenerateChannelError
-from .geometry import BISECTION_TOL, GridSpec, Region, deflation_gap
+from .geometry import GridSpec, Region, deflation_gap
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def exact_gap(
     rho, caps = _inner_caps(p, grid)
     inner = achievability.region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
     outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
-    result = deflation_gap(inner, outer, tol=BISECTION_TOL)
+    result = deflation_gap(inner, outer)
     bound, components = _analytic_bound_details(p, rho, caps)
     return GapReport(
         exact_gap=result.gap,
@@ -161,8 +161,7 @@ def sweep_symmetric(
         for ib, beta in enumerate(beta_grid):
             p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
             try:
-                gaps[ia, ib] = deflation_gap(*regions(p, grid, converse_grid),
-                                             tol=BISECTION_TOL).gap
+                gaps[ia, ib] = deflation_gap(*regions(p, grid, converse_grid)).gap
             except DegenerateChannelError as exc:
                 missing[(ia, ib)] = str(exc)
     return GapSurface(snr=snr, alpha_grid=alpha_grid, beta_grid=beta_grid,

@@ -14,9 +14,10 @@ piecewise-linear; that of an envelope union is its sampled frontier.
 
 The deflation gap between an inner and an outer region is the smallest xi
 such that every outer point, pushed down by xi in each coordinate (clamped at
-zero), lands inside the inner region.  Because the inner region is downward
-closed and contains the origin, the per-point predicate is monotone in xi and
-bisection resolves it exactly to tolerance.
+zero), lands inside the inner region.  The inner region C is convex, so its
+downward closure D = C + R_-^2 is cut out by half-planes a . p <= b, and the
+least xi for a point q is max(0, max over them of (a . q - b) / (a1 + a2)):
+a closed form, with one scalar bisection only to quantise the reported gap.
 
 Cost model of a convex region built from n polytopes sharing m constraint
 directions (the inner region: m = 5, n = rho x mu x mu grid points):
@@ -28,8 +29,8 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   staircase and sorts only the survivors s: O(k + s log s);
 - convex_hull is a quickhull on the survivors with no sort of its input:
   O(s h) for h hull vertices;
-- deflation_gap builds the inner boundary once and tests c candidates per
-  bisection round against it: O(c log h) per round.
+- deflation_gap is one pass of c candidates over the facets of D, one per
+  edge of the inner Pareto chain plus two: O(c h), and a scalar bisection.
 
 Tolerances are scale-relative: FEASIBILITY_TOL for emptiness and membership,
 the dominance margin 1e-9, and HULL_EPS for collinearity, ulp twins and
@@ -126,6 +127,15 @@ class Region:
 
     def frontier_at(self, r1) -> np.ndarray:
         return np.interp(r1, self.frontier_r1, self.frontier_r2)
+
+    @functools.cached_property
+    def boundary(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """The largest R1 and the knots (R1, R2) of the upper boundary, by
+        ascending R1; built on first use and kept."""
+        if self.convex:
+            chain = pareto_vertices(self.vertices)
+            return self.r1_max, chain[:, 0], chain[:, 1]
+        return self.r1_max, self.frontier_r1, self.frontier_r2
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +525,6 @@ def envelope_union(
 # membership
 # ---------------------------------------------------------------------------
 
-def _boundary(r: Region) -> tuple[float, np.ndarray, np.ndarray]:
-    """The region's largest R1 and the knots (R1, R2) of its upper boundary,
-    by ascending R1."""
-    if r.convex:
-        chain = pareto_vertices(r.vertices)
-        return r.r1_max, chain[:, 0], chain[:, 1]
-    return r.r1_max, r.frontier_r1, r.frontier_r2
-
-
-def _points_in_region(boundary, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Membership of each row of pts in the region of this _boundary."""
-    r1_max, knot_r1, knot_r2 = boundary
-    inside = (pts >= -tol).all(axis=1)
-    inside &= pts[:, 0] <= r1_max + tol
-    inside &= pts[:, 1] <= np.interp(pts[:, 0], knot_r1, knot_r2) + tol
-    return inside
-
-
 def contains(r: Region, pt: Sequence[float], tol: float = FEASIBILITY_TOL) -> bool:
     """Whether pt lies in the region within tolerance.
 
@@ -541,8 +533,10 @@ def contains(r: Region, pt: Sequence[float], tol: float = FEASIBILITY_TOL) -> bo
     boundary at pt[0]: the hull's Pareto chain for a convex region, the
     sampled frontier for an envelope union.
     """
-    pts = np.asarray(pt, float).reshape(1, 2)
-    return bool(_points_in_region(_boundary(r), pts, tol)[0])
+    r1_max, knot_r1, knot_r2 = r.boundary
+    x, y = np.asarray(pt, float).reshape(2)
+    return bool(x >= -tol and y >= -tol and x <= r1_max + tol
+                and y <= np.interp(x, knot_r1, knot_r2) + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +559,27 @@ def _check_downward_closed(r: Region, name: str) -> None:
 
 
 def deflation_gap(inner: Region, outer: Region, tol: float = BISECTION_TOL) -> DeflationResult:
-    """Smallest xi (within tol) deflating every outer point into the inner region.
+    """Smallest xi, on the bisection grid of tol, deflating every outer point
+    into the inner region, which must be convex (ValueError otherwise).
 
     Candidates are the outer frontier samples plus the outer vertex set; exact
     vertices are included because a polytope corner can dominate all sampled
-    frontier points by up to a grid step.  Each candidate's minimal xi is found
-    by bisection (the membership predicate is monotone in xi for a
-    downward-closed inner region containing the origin), and the gap is the
-    maximum over candidates, reported with its witness point.  Membership is
-    the rule of contains at FEASIBILITY_TOL, against the inner boundary
-    built once per call, so a round costs O(candidates x log boundary knots).
+    frontier points by up to a grid step.  The inner region's downward
+    closure D has one facet a . p <= b per edge (x_k, y_k) -> (x_k+1, y_k+1)
+    of its Pareto chain, a = (y_k - y_k+1, x_k+1 - x_k), plus R1 <= r1_max
+    and R2 <= the chain's first R2.  Each cap is relaxed by FEASIBILITY_TOL
+    in R2 (in R1 for the R1 facet), so that by the rule of contains the
+    least xi putting a candidate q inside is max(0, max over facets of
+    (a . q - b) / (a1 + a2)): one pass over candidates x facets.
+
+    The largest xi is then quantised as a per-candidate bisection reports
+    it: from [0, largest candidate coordinate], midpoints 0.5 * (lo + hi)
+    until hi - lo <= tol.  The gap is the final hi, and the witness the
+    first candidate whose xi exceeds the final lo; when no candidate needs
+    deflating, 0.0 and the first candidate.
     """
+    if not inner.convex:
+        raise ValueError("inner region must be convex (a hull, not an envelope union)")
     _check_downward_closed(inner, "inner")
     _check_downward_closed(outer, "outer")
 
@@ -587,25 +591,21 @@ def deflation_gap(inner: Region, outer: Region, tol: float = BISECTION_TOL) -> D
     if cand.shape[0] == 0:
         cand = np.zeros((1, 2))
 
-    hi_cap = max(float(cand.max()), 0.0)
-    lo = np.zeros(cand.shape[0])
-    hi = np.full(cand.shape[0], hi_cap)
+    r1_max, x, y = inner.boundary
+    # the facets a . p <= b of D: the chain's edges, R2 <= y[0] and R1 <= r1_max
+    a1 = np.concatenate([y[:-1] - y[1:], [0.0, 1.0]])
+    a2 = np.concatenate([x[1:] - x[:-1], [1.0, 0.0]])
+    b = np.concatenate([a1[:-2] * x[:-1] + a2[:-2] * (y[:-1] + FEASIBILITY_TOL),
+                        [y[0] + FEASIBILITY_TOL, r1_max + FEASIBILITY_TOL]])
+    xi = np.max((cand[:, :1] * a1 + cand[:, 1:] * a2 - b) / (a1 + a2), axis=1)
 
-    # candidates already inside need no deflation
-    boundary = _boundary(inner)
-    inside0 = _points_in_region(boundary, cand, FEASIBILITY_TOL)
-    hi[inside0] = 0.0
-
-    while True:
-        active = hi - lo > tol
-        if not np.any(active):
-            break
+    top = float(xi.max())
+    lo, hi = 0.0, float(cand.max()) if top > 0.0 else 0.0
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        deflated = np.maximum(cand[active] - mid[active, None], 0.0)
-        ok = _points_in_region(boundary, deflated, FEASIBILITY_TOL)
-        idx = np.flatnonzero(active)
-        hi[idx[ok]] = mid[idx[ok]]
-        lo[idx[~ok]] = mid[idx[~ok]]
-
-    worst = int(np.argmax(hi))
-    return DeflationResult(gap=float(hi[worst]), witness=(float(cand[worst, 0]), float(cand[worst, 1])))
+        if top <= mid:
+            hi = mid
+        else:
+            lo = mid
+    worst = int(np.argmax(xi > lo))
+    return DeflationResult(gap=hi, witness=(float(cand[worst, 0]), float(cand[worst, 1])))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_channels
-from gicnof import achievability
+from gicnof import achievability, geometry
 from gicnof.gap import regions
 from gicnof.geometry import (
     FEASIBILITY_TOL,
@@ -16,6 +16,7 @@ from gicnof.geometry import (
     deflation_gap,
     discard_strictly_dominated,
     envelope_union,
+    pareto_vertices,
     polytope_vertices,
     region_from_points,
 )
@@ -413,8 +414,18 @@ def halfplane_points_in_region(r, pts, tol):
     return halfplane_signed_distance(hull, pts) >= -tol
 
 
-def halfplane_deflation_gap(inner, outer, tol=1e-4):
-    """deflation_gap's candidates and bisection over the reference membership."""
+def chain_points_in_region(r, pts, tol):
+    """The rule of contains for many points of a convex region: inside iff
+    at most tol outside the quadrant, past r1_max or above the Pareto chain."""
+    chain = pareto_vertices(r.vertices)
+    inside = (pts >= -tol).all(axis=1) & (pts[:, 0] <= r.r1_max + tol)
+    return inside & (pts[:, 1] <= np.interp(pts[:, 0], chain[:, 0], chain[:, 1]) + tol)
+
+
+def bisection_deflation_gap(inner, outer, tol=1e-4, points_in_region=chain_points_in_region):
+    """Reference deflation gap: the same candidates, each bisected for its
+    least xi with the membership points_in_region; the gap is the largest
+    final hi, the witness the first candidate that reaches it."""
     cand = np.vstack([np.column_stack([outer.frontier_r1, outer.frontier_r2]),
                       outer.vertices.reshape(-1, 2)])
     cand = cand[(cand[:, 0] >= 0) & (cand[:, 1] >= 0)]
@@ -422,19 +433,24 @@ def halfplane_deflation_gap(inner, outer, tol=1e-4):
         cand = np.zeros((1, 2))
     lo = np.zeros(cand.shape[0])
     hi = np.full(cand.shape[0], max(float(cand.max()), 0.0))
-    hi[halfplane_points_in_region(inner, cand, FEASIBILITY_TOL)] = 0.0
+    hi[points_in_region(inner, cand, FEASIBILITY_TOL)] = 0.0
     while True:
         active = hi - lo > tol
         if not np.any(active):
             break
         mid = 0.5 * (lo + hi)
         deflated = np.maximum(cand[active] - mid[active, None], 0.0)
-        ok = halfplane_points_in_region(inner, deflated, FEASIBILITY_TOL)
+        ok = points_in_region(inner, deflated, FEASIBILITY_TOL)
         idx = np.flatnonzero(active)
         hi[idx[ok]] = mid[idx[ok]]
         lo[idx[~ok]] = mid[idx[~ok]]
     worst = int(np.argmax(hi))
     return float(hi[worst]), (float(cand[worst, 0]), float(cand[worst, 1]))
+
+
+def halfplane_deflation_gap(inner, outer, tol=1e-4):
+    """The reference bisection over the half-plane membership."""
+    return bisection_deflation_gap(inner, outer, tol, halfplane_points_in_region)
 
 
 def convex_test_regions():
@@ -495,6 +511,19 @@ class TestContains:
         for pt, inside in cases.items():
             assert contains(region, pt) == inside
             assert halfplane_points_in_region(region, pt, FEASIBILITY_TOL)[0] == inside
+
+    def test_boundary_built_once(self, monkeypatch):
+        region = region_from_points(TWIN_CLOUD)
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return pareto_vertices(pts)
+
+        monkeypatch.setattr(geometry, "pareto_vertices", counting)
+        for t in np.linspace(0.0, 1.0, 100):
+            contains(region, (t, t))
+        assert len(calls) == 1
 
     def test_segments_along_the_axes(self):
         on = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.7, 1e-10)]
@@ -605,6 +634,9 @@ class TestDeflationGap:
         assert result.gap == pytest.approx(1.0, abs=2e-4)
         assert result.witness[0] == pytest.approx(2.0, abs=1e-6) or \
             result.witness[1] == pytest.approx(2.0, abs=1e-6)
+        # to a fine grid: (2, 0) is inside once its R1 is within the membership slack of 1
+        assert deflation_gap(inner, outer, tol=1e-12).gap == \
+            pytest.approx(1.0 - FEASIBILITY_TOL, abs=1e-12)
 
     def test_against_dense_search(self):
         rng = np.random.default_rng(47)
@@ -661,6 +693,32 @@ class TestDeflationGap:
             inner, outer = regions(p)
             result = deflation_gap(inner, outer)
             assert (result.gap, result.witness) == halfplane_deflation_gap(inner, outer)
+
+    def test_matches_bisection_reference_bit_for_bit(self):
+        pairs = [regions(p) for p in random_channels(20, 20260401)]
+        rng = np.random.default_rng(61)
+
+        def draw(scale):
+            poly = random_polytope(rng, int(rng.integers(0, 8)), scale)
+            return region_from_points(polytope_vertices(poly), int(rng.integers(2, 701)))
+
+        for i in range(200):
+            scale = rng.uniform(0.8, 6.0)
+            inner = draw(scale)
+            pairs.append((inner, inner if i % 10 == 0 else draw(scale * rng.uniform(0.5, 2.0))))
+        gaps = []
+        for inner, outer in pairs:
+            for tol in (1e-4, 1e-6):
+                result = deflation_gap(inner, outer, tol)
+                assert (result.gap, result.witness) == bisection_deflation_gap(inner, outer, tol)
+                gaps.append(result.gap)
+        assert 0.0 in gaps and max(gaps) > 0.5  # both the inside and the bisected path
+
+    def test_rejects_envelope_inner_region(self):
+        r1 = np.linspace(0.0, 1.0, 16)
+        envelope = envelope_union(r1, (1.0 - r1)[None, :])
+        with pytest.raises(ValueError, match="convex"):
+            deflation_gap(envelope, region_of([(1, 0, 2.0), (0, 1, 2.0)]))
 
     def test_rejects_non_downward_closed(self):
         r1 = np.linspace(0.0, 1.0, 16)
