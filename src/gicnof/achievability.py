@@ -19,6 +19,21 @@ least one, which keeps the nominal-regime values untouched.
 Right-hand sides of the rate bounds can still be negative for sub-unity
 SNR+INR channels; negative caps simply make the polytope empty rather than
 being clamped away.
+
+Only the few polytopes on the outside of the union can give a vertex of its
+hull, so the sweep drops the others before enumerating vertices (the
+Akl-Toussaint heuristic, applied to whole polytopes).  The hull Q of the
+vertices of a coarse sub-grid, every COARSE_STRIDE-th rho and mu index plus
+the last, and of the single-user corners lies inside the region.  Each
+polytope's caps are tightened once to its support values, and a polytope
+with finite, nonnegative caps is dropped when the corners where its
+slope-adjacent tightened lines meet all lie more than a scale-relative 1e-9
+below Q's upper boundary and left of Q's largest R1.  Every direction
+n >= 0 lies in the cone of two slope-adjacent directions, where the
+polytope's support is at most n . (their corner), so a dropped polytope
+lies strictly inside the region's downward closure: none of its points is a
+hull vertex, the farthest point of a quickhull step, or the largest R1 or
+R2.  The region is bit for bit the one the unpruned sweep gives.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from .geometry import (
     batch_vertices,
     discard_strictly_dominated,
     region_from_points,
+    vertices_outside,
 )
 
 DEFAULT_GRID = GridSpec(rho_points=33, mu_points=17)
@@ -181,8 +197,11 @@ def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
     groups = bound_rhs_arrays(p, rho, mu1, mu2)
     shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
     caps = np.empty((5,) + shape)
-    for k, members in enumerate(groups.values()):
-        caps[k] = np.minimum.reduce([np.broadcast_to(v, shape) for v in members])
+    for k, (first, *rest) in enumerate(groups.values()):
+        out = caps[k, ...]  # a view even when shape is (), where caps[k] is a scalar
+        out[...] = first
+        for v in rest:
+            np.minimum(out, v, out=out)
     return caps
 
 
@@ -227,17 +246,33 @@ def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Reg
     segment rather than collapsing to the origin.
     """
     grid = grid or DEFAULT_GRID
-    return region_from_caps(p, sweep_family_caps(p, grid), grid.frontier_samples)
+    caps = family_caps(p, *parameter_grids(p, grid))
+    return region_from_caps(p, caps, grid.frontier_samples)
+
+
+COARSE_STRIDE = 8  # the coarse region's sub-grid: every 8th rho and mu index
+
+
+def _coarse(n: int) -> np.ndarray:
+    """Every COARSE_STRIDE-th of n grid indices, and the last one."""
+    return np.unique(np.r_[0:n:COARSE_STRIDE, n - 1])
 
 
 def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: int) -> Region:
-    """achievable_region from family caps already swept, one column per polytope.
+    """achievable_region from family caps already swept, of shape
+    (5, n_rho, n_mu, n_mu).
 
     For callers that also need the caps themselves, such as gap.exact_gap,
     which evaluates them once for both the region and the analytic bound.
+    The hull of a coarse sub-grid's vertices and the single-user corners
+    lies inside the region; the polytopes strictly inside it can hold no
+    hull vertex (geometry.vertices_outside), so only the others are walked,
+    prefiltered and hulled.  The region is the one the unpruned sweep gives.
     """
-    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
-    pts = pts if pts.size else np.zeros((0, 2))
-    pts = np.vstack([pts, single_user_anchors(p)])
-    pts = discard_strictly_dominated(pts)  # safe hull prefilter
+    anchors = single_user_anchors(p)
+    coarse = caps[np.ix_(range(5), *map(_coarse, caps.shape[1:]))]
+    coarse_pts, _ = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
+    inner = region_from_points(np.vstack([coarse_pts, anchors]))
+    pts, _ = vertices_outside(FAMILY_COEFFS, caps.reshape(5, -1), inner)
+    pts = discard_strictly_dominated(np.vstack([pts, anchors]))  # safe hull prefilter
     return region_from_points(pts, frontier_samples)

@@ -268,8 +268,11 @@ def family_caps(p: ChannelParameters, rho, ev: EventPair | None = None) -> np.nd
     rho = np.asarray(rho, float)
     families = _caps_by_family(p, rho, ev or classify_events(p))
     caps = np.empty((5,) + rho.shape)
-    for k, members in enumerate(families):
-        caps[k] = np.minimum.reduce(members)
+    for k, (first, *rest) in enumerate(families):
+        out = caps[k, ...]  # a view even when rho is 0-d, where caps[k] is a scalar
+        out[...] = first
+        for v in rest:
+            np.minimum(out, v, out=out)
     return caps
 
 

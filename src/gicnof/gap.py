@@ -118,7 +118,7 @@ def exact_gap(
     """
     grid = grid or achievability.DEFAULT_GRID
     rho, caps = _inner_caps(p, grid)
-    inner = achievability.region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
+    inner = achievability.region_from_caps(p, caps, grid.frontier_samples)
     outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
     result = deflation_gap(inner, outer)
     bound, components = _analytic_bound_details(p, rho, caps)

@@ -25,6 +25,14 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
 - batch_vertices tightens every cap to its support value by 2-D LP duality
   and walks the directions in slope order, a fixed number of passes over
   arrays of length n: O(n (pairs + m)) time, O(n m) memory;
+- vertices_outside tightens all n polytopes the same way and walks only
+  the w that are not strictly inside an inner region with q boundary knots
+  (for the inner sweep, the hull of a coarse sub-grid's vertices):
+  O(n (pairs + m log q)) time, and the k candidates below come from w
+  polytopes, not from n.  A polytope's support in a direction d >= 0 is at
+  most d . (the corner of the two slope-adjacent tightened lines whose cone
+  holds d), so a polytope whose corners all lie below the inner boundary
+  lies inside the region and holds no hull vertex;
 - discard_strictly_dominated cuts its k candidates with an O(k) bucketed
   staircase and sorts only the survivors s: O(k + s log s);
 - convex_hull is a quickhull on the survivors with no sort of its input:
@@ -315,6 +323,87 @@ def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
     return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(steps))
 
 
+@dataclass(frozen=True)
+class _Tightened:
+    """The nonempty polytopes of a batch, their caps tightened, ready to walk.
+
+    live     the columns of rhs that are nonempty polytopes
+    support  (walked rows, live.size) the support values of the walked rows,
+             in walk.duals order
+    single   (walked rows, live.size) whether that row's line touches the
+             polytope at a single vertex
+    """
+
+    walk: _VertexWalk
+    live: np.ndarray
+    support: np.ndarray
+    single: np.ndarray
+
+    def lines(self, cols=slice(None)) -> dict:
+        """The support value of every row of walk.dirs, axes included, for
+        the live columns cols."""
+        m = len(self.walk.dirs) - 2
+        h = self.support[:, cols]
+        return {m: 0.0, m + 1: 0.0, **{k: h[r] for r, (k, _) in enumerate(self.walk.duals)}}
+
+
+def _tighten(coeffs: np.ndarray, rhs: np.ndarray) -> _Tightened:
+    """The LP-duality step of batch_vertices, for every column of rhs."""
+    coeffs = np.asarray(coeffs, float)
+    rhs = np.asarray(rhs, float)
+    walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
+    if rhs.ndim != 2 or rhs.shape[0] != coeffs.shape[0]:
+        raise ValueError(f"rhs must be ({coeffs.shape[0]}, n), got {rhs.shape}")
+
+    live = np.flatnonzero(np.all(rhs >= -FEASIBILITY_TOL, axis=0))  # NaN compares False
+    caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
+    for row, member, scale in walk.fold:
+        np.minimum(caps[row], scale * caps[member], out=caps[row])
+
+    eps = HULL_EPS * float(np.max(caps, where=caps < np.inf, initial=1.0))
+    tight = np.empty((len(walk.duals), live.size))
+    single = np.empty(tight.shape, bool)  # rows whose line touches at one vertex
+    best, term, part = np.empty((3, live.size))
+    for r, (k, terms) in enumerate(walk.duals):
+        best.fill(np.inf)
+        for i, lam_i, j, lam_j in terms:
+            np.multiply(caps[i], lam_i, out=term)
+            if j is not None:
+                term += np.multiply(caps[j], lam_j, out=part)
+            np.minimum(best, term, out=best)
+        np.less_equal(best, np.add(caps[k], eps, out=term), out=single[r])
+        np.minimum(caps[k], best, out=tight[r])
+    return _Tightened(walk, live, tight, single)
+
+
+def _corner(walk: _VertexWalk, lines: dict, a: int, b: int, det: float):
+    """Where the lines of rows a and b meet."""
+    (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
+    return (lines[a] * b1 - lines[b] * a1) / det, (a0 * lines[b] - b0 * lines[a]) / det
+
+
+def _emit(t: _Tightened, cols=slice(None)):
+    """The vertices the walk emits for the live columns cols, and their polytopes.
+
+    Each step of the walk meets two slope-adjacent lines.  A row that
+    touches at a single vertex leads a step whose corner repeats the one
+    before, which is skipped; so is a corner at infinity.
+    """
+    walk, lines = t.walk, t.lines(cols)
+    single = dict(zip((k for k, _ in walk.duals), t.single[:, cols]))
+    live = t.live[cols]
+    x = np.empty((len(walk.steps), live.size))
+    y = np.empty_like(x)
+    keep = np.ones(x.shape, bool)
+    for s, (lead, a, b, det) in enumerate(walk.steps):
+        x[s], y[s] = _corner(walk, lines, a, b, det)
+        if s > 0 and lead in single:
+            keep[s] = ~single[lead]
+    if not np.isfinite(t.support[:, cols]).all():
+        keep &= np.isfinite(x) & np.isfinite(y)  # points at infinity of unbounded polytopes
+    return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
+
+
 def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     """Vertices of every polytope in a batch sharing constraint directions.
 
@@ -339,45 +428,37 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
     """
-    coeffs = np.asarray(coeffs, float)
+    return _emit(_tighten(coeffs, rhs))
+
+
+def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: Region):
+    """batch_vertices, less the polytopes strictly inside an inner region.
+
+    inner must lie inside the downward-closed region the vertices are for,
+    such as the hull of some of them.  A polytope is left out when its caps
+    are all finite and nonnegative, and every corner of its walk but the
+    origin lies more than 1e-9 * max(1, largest |vertex of inner|) below
+    the upper boundary of inner and left of its largest R1.  Such a
+    polytope is strictly inside the region: every direction n >= 0 lies in
+    the cone of the normals of some two slope-adjacent tightened lines, so
+    its support value in n is at most n . (the corner where they meet),
+    less than the region's.  So none of its points is a hull vertex of the
+    region, or the farthest point beyond any chord of a quickhull.  The caps
+    of the other polytopes are tightened in the same pass, with the same
+    tolerance, so their vertices are those batch_vertices returns for them.
+    """
+    r1_max, knot_r1, knot_r2 = inner.boundary
+    t = _tighten(coeffs, rhs)
     rhs = np.asarray(rhs, float)
-    walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
-    if rhs.ndim != 2 or rhs.shape[0] != coeffs.shape[0]:
-        raise ValueError(f"rhs must be ({coeffs.shape[0]}, n), got {rhs.shape}")
-
-    live = np.flatnonzero(np.all(rhs >= -FEASIBILITY_TOL, axis=0))  # NaN compares False
-    caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
-    for row, member, scale in walk.fold:
-        np.minimum(caps[row], scale * caps[member], out=caps[row])
-
-    m = coeffs.shape[0]
-    support: dict = {m: 0.0, m + 1: 0.0}
-    single = {}    # rows whose line touches the polytope at one vertex
-    eps = HULL_EPS * float(np.max(caps, where=caps < np.inf, initial=1.0))
-    tight = np.empty((len(walk.duals), live.size))
-    best, term, part = np.empty((3, live.size))
-    for (k, terms), h in zip(walk.duals, tight):
-        best.fill(np.inf)
-        for i, lam_i, j, lam_j in terms:
-            np.multiply(caps[i], lam_i, out=term)
-            if j is not None:
-                term += np.multiply(caps[j], lam_j, out=part)
-            np.minimum(best, term, out=best)
-        single[k] = best <= np.add(caps[k], eps, out=term)
-        support[k] = np.minimum(caps[k], best, out=h)
-
-    x = np.empty((len(walk.steps), live.size))
-    y = np.empty_like(x)
-    keep = np.ones(x.shape, bool)
-    for t, (lead, a, b, det) in enumerate(walk.steps):
-        (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
-        x[t] = (support[a] * b1 - support[b] * a1) / det
-        y[t] = (a0 * support[b] - b0 * support[a]) / det
-        if t > 0 and lead < m:
-            keep[t] = ~single[lead]
-    if not np.isfinite(tight).all():
-        keep &= np.isfinite(x) & np.isfinite(y)  # points at infinity of unbounded polytopes
-    return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
+    inside = ((np.min(rhs, axis=0) >= 0.0) & (np.max(rhs, axis=0) < np.inf))[t.live]
+    lines, axis = t.lines(), len(rhs)  # rows from axis on are the two axes
+    margin = 1e-9 * max(1.0, float(np.abs(inner.vertices).max()))
+    for _, a, b, det in t.walk.steps:
+        if a < axis:  # every step but the one between the two axes, at the origin
+            x, y = _corner(t.walk, lines, a, b, det)
+            inside &= x < r1_max - margin
+            inside &= y < np.interp(x, knot_r1, knot_r2) - margin
+    return _emit(t, np.flatnonzero(~inside))
 
 
 def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,15 @@ from gicnof import (
     rho_domain_sup,
 )
 from gicnof import achievability as ach
-from gicnof.geometry import LinearBound, RateRegionPolytope, batch_vertices
+from gicnof import geometry
+from gicnof.geometry import (
+    FEASIBILITY_TOL,
+    LinearBound,
+    RateRegionPolytope,
+    batch_vertices,
+    discard_strictly_dominated,
+    region_from_points,
+)
 from conftest import random_channels
 
 
@@ -292,3 +302,115 @@ class TestAchievableRegion:
                     assert len(got) == len(want)
                     assert np.allclose(np.sort(got, axis=0), np.sort(np.round(want, 9), axis=0), atol=1e-8)
                     k += 1
+
+
+def unpruned_region_from_caps(p, caps, frontier_samples):
+    """region_from_caps before the prune, as the reference: every polytope of
+    the flattened caps (5, n) is walked, prefiltered and hulled."""
+    pts, _ = batch_vertices(ach.FAMILY_COEFFS, caps)
+    pts = pts if pts.size else np.zeros((0, 2))
+    pts = np.vstack([pts, ach.single_user_anchors(p)])
+    pts = discard_strictly_dominated(pts)  # safe hull prefilter
+    return region_from_points(pts, frontier_samples)
+
+
+def assert_matches_unpruned(p, grid, caps=None):
+    """vertices and frontier of region_from_caps equal the reference bit for bit."""
+    if caps is None:
+        caps = ach.family_caps(p, *ach.parameter_grids(p, grid))
+    got = ach.region_from_caps(p, caps, grid.frontier_samples)
+    want = unpruned_region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
+    for name in ("vertices", "frontier_r1", "frontier_r2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, p)
+
+
+def probe_sweep(p, grid):
+    """The region of p at grid, the number of polytopes its sweep walks, and
+    the number of prefilter survivors.
+
+    The walk runs twice per region, for the coarse chain and then for the
+    polytopes the prune keeps; the second count is the one returned.
+    """
+    walked, survivors = [], []
+    emit, prefilter = geometry._emit, ach.discard_strictly_dominated
+
+    def emit_spy(t, cols=slice(None)):
+        walked.append(t.live[cols].size)
+        return emit(t, cols)
+
+    def prefilter_spy(pts):
+        out = prefilter(pts)
+        survivors.append(len(out))
+        return out
+
+    with mock.patch.object(geometry, "_emit", emit_spy), \
+            mock.patch.object(ach, "discard_strictly_dominated", prefilter_spy):
+        region = achievable_region(p, grid)
+    assert len(walked) == 2 and len(survivors) == 1
+    return region, walked[1], survivors[0]
+
+
+DOUBLED = GridSpec(65, 33, 1024)
+
+
+class TestPrunedSweep:
+    """The prune leaves the region bit for bit as the unpruned sweep gives it."""
+
+    def test_matches_unpruned_on_random_channels(self):
+        for p in random_channels(200, 20260401):
+            assert_matches_unpruned(p, ach.DEFAULT_GRID)
+
+    def test_matches_unpruned_at_doubled_grids(self):
+        for p in random_channels(20, 20260405):
+            assert_matches_unpruned(p, DOUBLED)
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(2, 2),           # every index is a coarse one
+        GridSpec(7, 5),           # smaller than the stride: the two ends only
+        GridSpec(9, 10),          # the last index just past a stride
+        ach.DEFAULT_GRID,
+    ])
+    def test_matches_unpruned_on_edge_grids(self, grid, p_star):
+        for p in [p_star] + random_channels(10, 20260406):
+            assert_matches_unpruned(p, grid)
+
+    def test_matches_unpruned_on_a_collapsed_rho_grid(self):
+        p = ChannelParameters(10.0, 20.0, 0.5, 5.0, 3.0, 3.0)  # sub-unity INR
+        assert rho_domain_sup(p) == 0.0
+        for grid in (ach.DEFAULT_GRID, DOUBLED, GridSpec(2, 2)):
+            assert_matches_unpruned(p, grid)
+
+    def test_nothing_pruned_when_every_polytope_shares_a_boundary_vertex(self):
+        # one rho point and 33 x 33 splits: each of the 1,089 polytopes has a
+        # corner on the boundary of the region, so none is strictly inside
+        p = random_channels(6, 20260401)[0]
+        region, walked, _ = probe_sweep(p, DOUBLED)
+        assert walked == 1089
+        assert_matches_unpruned(p, DOUBLED)
+
+    def test_column_with_caps_just_below_zero_is_kept(self, p_star):
+        # a cap in [-FEASIBILITY_TOL, 0) leaves the polytope in the sweep with
+        # a vertex left of the R2 axis, just under the top of the region, and
+        # that vertex is a hull vertex; all its corners lie more than the
+        # margin inside the region, so only the sign test keeps it
+        grid = GridSpec(9, 5)
+        caps = ach.family_caps(p_star, *ach.parameter_grids(p_star, grid))
+        caps[:, 4, 2, 2] = [-0.5 * FEASIBILITY_TOL, 1.7, 1.7, 1.7, 3.4]
+        region = ach.region_from_caps(p_star, caps, grid.frontier_samples)
+        assert region.vertices[:, 0].min() == -0.5 * FEASIBILITY_TOL
+        assert_matches_unpruned(p_star, grid, caps)
+
+    def test_most_polytopes_never_reach_the_walk(self, p_star):
+        _, walked, _ = probe_sweep(p_star, ach.DEFAULT_GRID)
+        assert walked < 0.1 * 33 * 17 * 17
+
+    def test_flat_staircase_regression(self):
+        # at doubled grids this channel's unpruned sweep keeps 48,063
+        # prefilter survivors, a flat stretch of the staircase the margin of
+        # the prefilter cannot cut; the prune leaves a few dozen polytopes
+        p = random_channels(6, 20260401)[2]
+        _, walked, survivors = probe_sweep(p, DOUBLED)
+        assert walked <= 0.01 * 65 * 33 * 33
+        assert survivors <= 300
+        assert_matches_unpruned(p, DOUBLED)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from gicnof.geometry import (
     pareto_vertices,
     polytope_vertices,
     region_from_points,
+    vertices_outside,
 )
 
 FAMILIES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]
@@ -172,6 +175,72 @@ class TestBatchVertices:
                 batch_vertices(np.array(coeffs), np.ones((len(coeffs), 1)))
         with pytest.raises(ValueError):
             batch_vertices(np.array(FAMILIES), np.ones((4, 2)))
+
+
+def batch_columns(coeffs, rhs, cols):
+    """The points of batch_vertices that belong to the columns cols."""
+    pts, idx = batch_vertices(coeffs, rhs)
+    keep = np.isin(idx, cols)
+    return pts[keep], idx[keep]
+
+
+class TestVerticesOutside:
+    def test_keeps_the_batch_vertices_of_every_other_column(self):
+        rng = np.random.default_rng(83)
+        coeffs = np.array(FAMILIES)
+        for _ in range(20):
+            rhs = rng.uniform(0.0, 3.0, size=(5, 300))
+            rhs[:, :20] *= rng.uniform(0.0, 1.0, size=(1, 20)) ** 3  # small polytopes
+            rhs[rng.integers(0, 5, 10), rng.integers(0, 300, 10)] = np.inf
+            rhs[rng.integers(0, 5, 10), rng.integers(0, 300, 10)] = -0.5 * FEASIBILITY_TOL
+            all_pts, all_idx = batch_vertices(coeffs, rhs)
+            finite = all_pts[np.isfinite(all_pts).all(axis=1)]
+            inner = region_from_points(finite * rng.uniform(0.3, 1.0))  # inside the hull
+            pts, idx = vertices_outside(coeffs, rhs, inner)
+            kept = np.unique(idx)
+            want, want_idx = batch_columns(coeffs, rhs, kept)
+            assert pts.tobytes() == want.tobytes() and idx.tobytes() == want_idx.tobytes()
+            # what is left out lies below the inner boundary, left of its largest R1
+            dropped = ~np.isin(all_idx, kept)
+            x, y = all_pts[dropped].T
+            r1_max, knot_r1, knot_r2 = inner.boundary
+            margin = 1e-9 * max(1.0, np.abs(inner.vertices).max())
+            assert np.all(y < np.interp(x, knot_r1, knot_r2) - margin)
+            assert np.all(x < r1_max - margin)
+            # only columns with finite, nonnegative caps are left out
+            gone = np.setdiff1d(np.unique(all_idx), kept)
+            assert gone.size > 0
+            assert np.all(np.isfinite(rhs[:, gone]) & (rhs[:, gone] >= 0))
+
+    def test_polytopes_touching_the_inner_boundary_are_kept(self):
+        # rectangles [0, a] x [0, b] whose corner (a, b) is the double nearest
+        # the last edge of the inner boundary; interpolating the boundary
+        # rounds to either side of b, and the margin keeps every one of them
+        knots = np.array([[0.0, 1.7], [0.7, 1.5], [2.3, 0.0]])
+        (x0, y0), (x1, y1) = knots[1:]
+        slope = (Fraction(y1) - Fraction(y0)) / (Fraction(x1) - Fraction(x0))
+        a = np.random.default_rng(89).uniform(x0, x1, 400)
+        b = np.array([float(Fraction(y0) + slope * (Fraction(v) - Fraction(x0))) for v in a])
+        assert np.any(b < np.interp(a, knots[:, 0], knots[:, 1]))
+        rhs = np.vstack([a, b, np.full((3, a.size), 10.0)])
+        inner = region_from_points(knots)
+        assert np.array_equal(np.column_stack(inner.boundary[1:]), knots)
+        _, idx = vertices_outside(np.array(FAMILIES), rhs, inner)
+        assert np.array_equal(np.unique(idx), np.arange(a.size))
+
+    def test_survivors_keep_the_batch_tolerance(self):
+        # the first polytope is the triangle R1 + R2 <= 0.1 with raw caps of
+        # 1e6, which set the tolerance of the single-vertex test to 1e-6; the
+        # second cuts a 1e-8 corner off the unit square, below that tolerance,
+        # so the walk emits that corner once, whether or not the first is kept
+        coeffs = np.array(FAMILIES)
+        rhs = np.array([[1e6, 1e6, 0.1, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
+        inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        pts, idx = vertices_outside(coeffs, rhs, inner)
+        assert set(idx.tolist()) == {1}
+        want, _ = batch_columns(coeffs, rhs, [1])
+        assert pts.tobytes() == want.tobytes()
+        assert len(pts) == 4
 
 
 class TestPolytopeVertices:
