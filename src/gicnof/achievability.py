@@ -22,13 +22,14 @@ being clamped away.
 
 Only the few polytopes on the outside of the union can give a vertex of its
 hull, so the sweep drops the others before enumerating vertices (the
-Akl-Toussaint heuristic, applied to whole polytopes).  The hull Q of the
-vertices of a coarse sub-grid, every COARSE_STRIDE-th rho and mu index plus
-the last, and of the single-user corners lies inside the region.  Each
-polytope's caps are tightened once to its support values, and a polytope
-with finite, nonnegative caps is dropped when the corners where its
-slope-adjacent tightened lines meet all lie more than a scale-relative 1e-9
-below Q's upper boundary and left of Q's largest R1.  Every direction
+Akl-Toussaint heuristic, applied to whole polytopes).  The coarse cloud is
+the vertices of a coarse sub-grid (every COARSE_STRIDE-th rho and mu index
+plus the last) and the single-user corners.  Its extreme points in
+FAN_DIRECTIONS directions evenly spaced over [0, pi/2] are points of the
+region, so the chain Q through them, by ascending R1, lies inside it.  Each polytope's caps are tightened once to its support
+values, and a polytope with finite, nonnegative caps is dropped when the
+corners where its slope-adjacent tightened lines meet all lie more than a
+scale-relative 1e-9 below Q and left of Q's largest R1.  Every direction
 n >= 0 lies in the cone of two slope-adjacent directions, where the
 polytope's support is at most n . (their corner), so a dropped polytope
 lies strictly inside the region's downward closure: none of its points is a
@@ -49,6 +50,7 @@ from .geometry import (
     Region,
     batch_vertices,
     discard_strictly_dominated,
+    pareto_vertices,
     region_from_points,
     vertices_outside,
 )
@@ -250,12 +252,54 @@ def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Reg
     return region_from_caps(p, caps, grid.frontier_samples)
 
 
-COARSE_STRIDE = 8  # the coarse region's sub-grid: every 8th rho and mu index
+COARSE_STRIDE = 8  # the coarse cloud's sub-grid: every 8th rho and mu index
+FAN_DIRECTIONS = 32  # directions of the fan over [0, pi/2] that picks the coarse knots
+_FAN_ANGLES = np.linspace(0.0, 0.5 * math.pi, FAN_DIRECTIONS)
+_FAN = np.array([np.cos(_FAN_ANGLES), np.sin(_FAN_ANGLES)])
 
 
 def _coarse(n: int) -> np.ndarray:
     """Every COARSE_STRIDE-th of n grid indices, and the last one."""
     return np.unique(np.r_[0:n:COARSE_STRIDE, n - 1])
+
+
+def _coarse_cloud(caps: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The vertices of the coarse sub-grid's polytopes, and the anchors."""
+    coarse = caps[np.ix_(range(5), *map(_coarse, caps.shape[1:]))]
+    pts, _ = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
+    return np.vstack([pts, anchors])
+
+
+def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """An upper boundary (r1_max, knot_r1, knot_r2) inside a cloud's hull.
+
+    The knots are the cloud's extreme points in FAN_DIRECTIONS directions
+    evenly spaced over [0, pi/2] (the first one found of exact ties), less
+    the ones another of them dominates, by ascending R1; r1_max is the
+    largest knot R1.  Every knot is a point of the cloud, so the chain lies
+    inside its hull's downward closure.
+    """
+    score = points[:, :1] * _FAN[0] + points[:, 1:] * _FAN[1]
+    chain = pareto_vertices(points[np.unique(np.argmax(score, axis=0))])
+    return float(chain[-1, 0]), chain[:, 0], chain[:, 1]
+
+
+def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
+    """The points whose hull, with the origin and the axis projections of
+    their extremes, is the inner region of the family caps caps, of shape
+    (5, n_rho, n_mu, n_mu).
+
+    The vertices of a coarse sub-grid and the single-user corners lie in
+    the region, and so does the chain of their extreme points in a fan of
+    directions (_fan_chain).  The polytopes strictly inside that chain can
+    hold no hull vertex (geometry.vertices_outside), so only the others are
+    walked; their vertices and the corners then pass the dominance
+    prefilter.  The hull is the one the unpruned sweep gives.
+    """
+    anchors = single_user_anchors(p)
+    chain = _fan_chain(_coarse_cloud(caps, anchors))
+    pts, _ = vertices_outside(FAMILY_COEFFS, caps.reshape(5, -1), chain)
+    return discard_strictly_dominated(np.vstack([pts, anchors]))  # safe hull prefilter
 
 
 def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: int) -> Region:
@@ -264,15 +308,5 @@ def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: i
 
     For callers that also need the caps themselves, such as gap.exact_gap,
     which evaluates them once for both the region and the analytic bound.
-    The hull of a coarse sub-grid's vertices and the single-user corners
-    lies inside the region; the polytopes strictly inside it can hold no
-    hull vertex (geometry.vertices_outside), so only the others are walked,
-    prefiltered and hulled.  The region is the one the unpruned sweep gives.
     """
-    anchors = single_user_anchors(p)
-    coarse = caps[np.ix_(range(5), *map(_coarse, caps.shape[1:]))]
-    coarse_pts, _ = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
-    inner = region_from_points(np.vstack([coarse_pts, anchors]))
-    pts, _ = vertices_outside(FAMILY_COEFFS, caps.reshape(5, -1), inner)
-    pts = discard_strictly_dominated(np.vstack([pts, anchors]))  # safe hull prefilter
-    return region_from_points(pts, frontier_samples)
+    return region_from_points(inner_cloud(p, caps), frontier_samples)

@@ -19,7 +19,7 @@ import numpy as np
 from . import achievability, converse
 from .channel import ChannelParameters, SymmetricPoint, symmetric_params
 from .errors import DegenerateChannelError
-from .geometry import GridSpec, Region, deflation_gap
+from .geometry import GridSpec, Region, deflation_gap, regions_from_points
 
 
 @dataclass(frozen=True)
@@ -152,17 +152,33 @@ def sweep_symmetric(
 
     Degenerate cells are recorded as missing with their reason instead of
     aborting the sweep; in practice only zero-INR cells can be degenerate.
+    Each cell's gap is deflation_gap(*regions(p, grid, converse_grid)).gap.
+    An alpha row is built in three steps: each cell's inner cloud
+    (achievability.inner_cloud, its caps dropped once it is made), then one
+    batch of hulls for the row (geometry.regions_from_points), then each
+    cell's converse region and deflation gap.
     """
+    grid = grid or achievability.DEFAULT_GRID
+    converse_grid = converse_grid or converse.DEFAULT_GRID
     alpha_grid = np.asarray(alpha_grid, float)
     beta_grid = np.asarray(beta_grid, float)
     gaps = np.full((alpha_grid.size, beta_grid.size), np.nan)
     missing: dict = {}
     for ia, alpha in enumerate(alpha_grid):
+        cells, clouds, reasons = [], [], {}
         for ib, beta in enumerate(beta_grid):
             p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
-            try:
-                gaps[ia, ib] = deflation_gap(*regions(p, grid, converse_grid)).gap
+            try:  # the caps are dropped as soon as the cloud is made
+                axes = achievability.parameter_grids(p, grid)
+                clouds.append(achievability.inner_cloud(p, achievability.family_caps(p, *axes)))
+                cells.append((ib, p))
             except DegenerateChannelError as exc:
-                missing[(ia, ib)] = str(exc)
+                reasons[ib] = str(exc)
+        for (ib, p), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
+            try:
+                gaps[ia, ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
+            except DegenerateChannelError as exc:
+                reasons[ib] = str(exc)
+        missing.update(((ia, ib), reasons[ib]) for ib in sorted(reasons))
     return GapSurface(snr=snr, alpha_grid=alpha_grid, beta_grid=beta_grid,
                       gaps=gaps, missing=missing)

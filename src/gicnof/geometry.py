@@ -26,17 +26,22 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   and walks the directions in slope order, a fixed number of passes over
   arrays of length n: O(n (pairs + m)) time, O(n m) memory;
 - vertices_outside tightens all n polytopes the same way and walks only
-  the w that are not strictly inside an inner region with q boundary knots
-  (for the inner sweep, the hull of a coarse sub-grid's vertices):
-  O(n (pairs + m log q)) time, and the k candidates below come from w
-  polytopes, not from n.  A polytope's support in a direction d >= 0 is at
-  most d . (the corner of the two slope-adjacent tightened lines whose cone
-  holds d), so a polytope whose corners all lie below the inner boundary
-  lies inside the region and holds no hull vertex;
+  the w that are not strictly inside an inner chain with q knots (for the
+  inner sweep, the extreme points of a coarse sub-grid's vertices in a fan
+  of directions): O(n (pairs + m log q)) time, and the k candidates below
+  come from w polytopes, not from n.  A polytope's support in a direction
+  d >= 0 is at most d . (the corner of the two slope-adjacent tightened
+  lines whose cone holds d), so a polytope whose corners all lie below the
+  inner chain lies inside the region and holds no hull vertex;
 - discard_strictly_dominated cuts its k candidates with an O(k) bucketed
   staircase and sorts only the survivors s: O(k + s log s);
-- convex_hull is a quickhull on the survivors with no sort of its input:
-  O(s h) for h hull vertices;
+- convex_hulls is a quickhull on the survivors with no sort of its input,
+  run level-synchronously: each depth of the recursion is one vectorized
+  pass of O(s) over the pending edges of every cloud of a batch, 9 passes
+  for a 67-vertex hull of the inner sweep instead of one Python step per
+  hull edge; regions_from_points builds the hulls of a batch of clouds (a
+  sweep row) in one call, and convex_hull and region_from_points are its
+  one-cloud cases;
 - deflation_gap is one pass of c candidates over the facets of D, one per
   edge of the inner Pareto chain plus two: O(c h), and a scalar bisection.
 
@@ -157,12 +162,6 @@ def _hull_eps(pts: np.ndarray) -> float:
     return HULL_EPS * max(1.0, float(np.abs(pts).max()))
 
 
-def _outside(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Signed distance of pts beyond the directed line a -> b (positive on its right)."""
-    ex, ey = b[0] - a[0], b[1] - a[1]
-    return (ey * (pts[:, 0] - a[0]) - ex * (pts[:, 1] - a[1])) / math.hypot(ex, ey)
-
-
 def _lex_extreme(pts: np.ndarray, sign: float) -> int:
     """Index of the lexicographically smallest point, or the largest for sign -1."""
     x = sign * pts[:, 0]
@@ -170,25 +169,83 @@ def _lex_extreme(pts: np.ndarray, sign: float) -> int:
     return int(idx[np.argmin(sign * pts[idx, 1])])
 
 
-def _chain_between(pts: np.ndarray, a: int, b: int, eps: float) -> list[int]:
-    """Indices of the hull vertices right of a -> b, by recursive farthest points.
+def _split(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, eps: np.ndarray,
+           members: np.ndarray, group: np.ndarray):
+    """The candidates of each group that lie beyond one of its two edges.
 
-    Only points more than eps beyond an edge are candidates for it, and the
-    farthest one becomes a vertex.
+    Group k owns edges k and k + K (K = a.size // 2), directed a -> b, each
+    with its tolerance eps.  A candidate is first measured against edge k
+    at the signed distance (ey (x - ax) - ex (y - ay)) / hypot(ex, ey),
+    positive on its right, and, when it is not more than eps beyond it,
+    against edge k + K.  Returns the candidates beyond an edge, grouped by
+    edge and ascending within one, with their edges and distances.
     """
-    found = []
-    stack = [(a, b, np.arange(len(pts)))]
-    while stack:
-        a, b, idx = stack.pop()
-        dist = _outside(pts[idx], pts[a], pts[b])
-        beyond = dist > eps
-        if not beyond.any():
-            continue
-        idx, dist = idx[beyond], dist[beyond]
-        f = int(idx[np.argmax(dist)])
+    ax, ay = x[a], y[a]
+    ex, ey = x[b] - ax, y[b] - ay
+    norm = np.array([math.hypot(u, v) for u, v in zip(ex.tolist(), ey.tolist())])
+
+    def beyond(m, e):
+        d, t = x[m], y[m]  # in place: d = (ey (x - ax) - ex (y - ay)) / norm
+        d -= ax[e]
+        d *= ey[e]
+        t -= ay[e]
+        t *= ex[e]
+        d -= t
+        d /= norm[e]
+        return d, d > eps[e]
+
+    d1, in1 = beyond(members, group)
+    out = ~in1
+    rest, edge2 = members[out], group[out] + a.size // 2
+    d2, in2 = beyond(rest, edge2)
+    return (np.concatenate([members[in1], rest[in2]]),
+            np.concatenate([group[in1], edge2[in2]]),
+            np.concatenate([d1[in1], d2[in2]]))
+
+
+def _quickhull_levels(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      eps: np.ndarray, owner: np.ndarray, members: np.ndarray,
+                      group: np.ndarray):
+    """The hull vertices right of directed edges a -> b, by farthest points.
+
+    The edges are sub-problems over the stacked points (x, y), each with a
+    tolerance eps and a label owner.  Edges k and k + K (K = a.size // 2)
+    share the candidates members[group == k], ascending; of those, each
+    edge keeps the ones more than its eps beyond it (_split).  The farthest
+    beyond an edge a -> b, the smallest index among ties, becomes a vertex
+    f, and the kept candidates are shared by the new edges a -> f and
+    f -> b.  Each depth of the recursion is one vectorized pass over every
+    pending edge.  Returns (owner, index) of every vertex found.
+
+    A candidate more than eps beyond a -> f is never more than eps beyond
+    f -> b, so _split gives it to the first edge alone, and every edge keeps
+    the candidates a recursion passing both edges all of them would keep.
+    Were it beyond both, it would lie farther than f beyond a -> b: the
+    numerators of its distances to a -> f and f -> b sum to |ab| times its
+    distance beyond a -> b less f's, and |af| + |fb| >= |ab|, so that excess
+    would be more than eps, far above the rounding of the distances.  The
+    same holds for the two opposite edges between a cloud's extremes.
+    """
+    found_owner, found = [], []
+    while True:
+        members, edge, dist = _split(x, y, a, b, eps, members, group)
+        if not members.size:
+            break
+        new = np.empty(edge.size, bool)
+        new[0] = True
+        np.not_equal(edge[1:], edge[:-1], out=new[1:])
+        starts, group = np.flatnonzero(new), np.cumsum(new) - 1
+        live = edge[starts]
+        hits = np.flatnonzero(dist == np.maximum.reduceat(dist, starts)[group])
+        f = members[hits[np.searchsorted(hits, starts)]]
+        found_owner.append(owner[live])
         found.append(f)
-        stack += [(a, f, idx), (f, b, idx)]
-    return found
+        a, b = np.concatenate([a[live], f]), np.concatenate([f, b[live]])
+        twice = np.concatenate([live, live])
+        eps, owner = eps[twice], owner[twice]
+    if not found:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    return np.concatenate(found_owner), np.concatenate(found)
 
 
 def _drop_collinear(hull: np.ndarray, eps: float) -> np.ndarray:
@@ -210,40 +267,74 @@ def _lex_order(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
 
-def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
-    """Counterclockwise convex hull with collinear points removed.
+def convex_hulls(clouds: Iterable) -> list[np.ndarray]:
+    """The counterclockwise convex hull of every cloud, collinear points removed.
 
-    Quickhull, seeded from the lexicographically smallest and largest points,
-    which are always extreme: each side of their chord is split at the point
-    farthest beyond it until no point lies more than eps beyond an edge, with
-    eps = HULL_EPS * max(1, largest |coordinate|).  A last pass drops any
-    vertex within eps of the chord of its two neighbours.  Distances are
-    measured, not the turn direction of a sorted sweep, so points that differ
-    by a few ulps neither split an edge nor push a true vertex out of the
-    hull.
+    Quickhull, seeded from each cloud's lexicographically smallest and
+    largest points, which are always extreme: each side of their chord is
+    split at the point farthest beyond it until no point lies more than eps
+    beyond an edge, with eps = HULL_EPS * max(1, largest |coordinate| of the
+    cloud).  A last pass drops any vertex within eps of the chord of its two
+    neighbours.  Distances are measured, not the turn direction of a sorted
+    sweep, so points that differ by a few ulps neither split an edge nor
+    push a true vertex out of the hull.
 
-    The result depends only on the set of input points, never on their
-    order or multiplicity: distances decide every choice, and of points tied
-    exactly in distance, which lie on one edge, whichever is chosen first the
-    others follow and the last pass drops the ones inside that edge.  The
-    hull starts at its lexicographically smallest vertex.
-    Degenerate input yields no points, the single distinct point, or, when
-    all points are collinear, the two extremes.  Cost: one O(n) pass per hull
-    vertex over the points still outside, and no sort of the input.
+    A hull depends only on the set of its cloud's points, never on their
+    order or multiplicity, nor on the other clouds: distances decide every
+    choice, and of points tied exactly in distance, which lie on one edge,
+    whichever is chosen first the others follow and the last pass drops the
+    ones inside that edge.  Each hull starts at its lexicographically
+    smallest vertex.  Degenerate input yields no points, the single distinct
+    point, or, when all points are collinear, the two extremes.
+
+    Cost: each depth of the recursion is one vectorized pass over the
+    pending edges of every cloud (_quickhull_levels), O(n) per depth for n
+    points in all, so a batch takes about as many passes as its deepest
+    hull, not one per hull edge.
     """
-    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
-                     dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return pts
-    first, last = _lex_extreme(pts, 1.0), _lex_extreme(pts, -1.0)
-    if np.array_equal(pts[first], pts[last]):
-        return pts[[first]]
-    eps = _hull_eps(pts)
-    lower = _lex_order(pts[_chain_between(pts, first, last, eps)])
-    upper = _lex_order(pts[_chain_between(pts, last, first, eps)])[::-1]
-    hull = _drop_collinear(np.vstack([pts[[first]], lower, pts[[last]], upper]), eps)
-    start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
-    return np.roll(hull, -start, axis=0) + 0.0  # -0.0 and 0.0 tie: report 0.0
+    clouds = [np.asarray(c if isinstance(c, np.ndarray) else list(c), dtype=float).reshape(-1, 2)
+              for c in clouds]
+    hulls = list(clouds)
+    seeds = []  # (cloud, first, last, eps) of the clouds with two distinct extremes
+    for k, pts in enumerate(clouds):
+        if pts.shape[0] == 0:
+            continue
+        first, last = _lex_extreme(pts, 1.0), _lex_extreme(pts, -1.0)
+        if np.array_equal(pts[first], pts[last]):
+            hulls[k] = pts[[first]]
+        else:
+            seeds.append((k, first, last, _hull_eps(pts)))
+    if not seeds:
+        return hulls
+
+    # two edges per cloud: edge j is its lower chain first -> last, edge
+    # n + j its upper chain last -> first, and both share its points
+    n = len(seeds)
+    x, y = (np.concatenate([clouds[k][:, c] for k, *_ in seeds]) for c in (0, 1))
+    sizes = np.array([len(clouds[k]) for k, *_ in seeds])
+    first = np.r_[0, np.cumsum(sizes)[:-1]] + [f for _, f, _, _ in seeds]
+    last = first + [v - f for _, f, v, _ in seeds]
+    owner, found = _quickhull_levels(
+        x, y, np.r_[first, last], np.r_[last, first],
+        np.tile([e for *_, e in seeds], 2), np.arange(2 * n),
+        np.arange(x.size), np.repeat(np.arange(n), sizes))
+    order = np.argsort(owner, kind="stable")
+    found, bounds = found[order], np.searchsorted(owner[order], np.arange(2 * n + 1))
+
+    for j, (k, f, v, eps) in enumerate(seeds):
+        pts = clouds[k]
+        lower, upper = (found[bounds[i]:bounds[i + 1]] for i in (j, n + j))
+        lower = _lex_order(np.column_stack([x[lower], y[lower]]))
+        upper = _lex_order(np.column_stack([x[upper], y[upper]]))[::-1]
+        hull = _drop_collinear(np.vstack([pts[[f]], lower, pts[[v]], upper]), eps)
+        start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
+        hulls[k] = np.roll(hull, -start, axis=0) + 0.0  # -0.0 and 0.0 tie: report 0.0
+    return hulls
+
+
+def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
+    """convex_hulls of the one cloud points."""
+    return convex_hulls([points])[0]
 
 
 _AXES = np.array([[-1.0, 0.0], [0.0, -1.0]])  # R1 >= 0 and R2 >= 0 as upper bounds
@@ -431,28 +522,32 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     return _emit(_tighten(coeffs, rhs))
 
 
-def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: Region):
-    """batch_vertices, less the polytopes strictly inside an inner region.
+def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
+    """batch_vertices, less the polytopes strictly inside an inner chain.
 
-    inner must lie inside the downward-closed region the vertices are for,
-    such as the hull of some of them.  A polytope is left out when its caps
-    are all finite and nonnegative, and every corner of its walk but the
-    origin lies more than 1e-9 * max(1, largest |vertex of inner|) below
-    the upper boundary of inner and left of its largest R1.  Such a
-    polytope is strictly inside the region: every direction n >= 0 lies in
-    the cone of the normals of some two slope-adjacent tightened lines, so
-    its support value in n is at most n . (the corner where they meet),
-    less than the region's.  So none of its points is a hull vertex of the
-    region, or the farthest point beyond any chord of a quickhull.  The caps
-    of the other polytopes are tightened in the same pass, with the same
-    tolerance, so their vertices are those batch_vertices returns for them.
+    inner is an upper boundary (r1_max, knot_r1, knot_r2), knots by
+    ascending R1, as Region.boundary gives it: the set of points (x, y) with
+    x <= r1_max and y <= the knots' interpolant at x.  It must lie inside
+    the downward-closed region the vertices are for, as it does when every
+    knot is one of those vertices and r1_max the largest knot R1.  A
+    polytope is left out when its caps are all finite and nonnegative, and
+    every corner of its walk but the origin lies more than
+    1e-9 * max(1, largest |knot|) below the interpolant and left of r1_max.
+    Such a polytope is strictly inside the region: every direction n >= 0
+    lies in the cone of the normals of some two slope-adjacent tightened
+    lines, so its support value in n is at most n . (the corner where they
+    meet), less than the region's.  So none of its points is a hull vertex
+    of the region, or the farthest point beyond any chord of a quickhull.
+    The caps of the other polytopes are tightened in the same pass, with the
+    same tolerance, so their vertices are those batch_vertices returns for
+    them.
     """
-    r1_max, knot_r1, knot_r2 = inner.boundary
+    r1_max, knot_r1, knot_r2 = inner
     t = _tighten(coeffs, rhs)
     rhs = np.asarray(rhs, float)
     inside = ((np.min(rhs, axis=0) >= 0.0) & (np.max(rhs, axis=0) < np.inf))[t.live]
     lines, axis = t.lines(), len(rhs)  # rows from axis on are the two axes
-    margin = 1e-9 * max(1.0, float(np.abs(inner.vertices).max()))
+    margin = 1e-9 * max(1.0, float(np.abs(knot_r1).max()), float(np.abs(knot_r2).max()))
     for _, a, b, det in t.walk.steps:
         if a < axis:  # every step but the one between the two axes, at the origin
             x, y = _corner(t.walk, lines, a, b, det)
@@ -547,28 +642,41 @@ def pareto_vertices(points: np.ndarray) -> np.ndarray:
     return chain[np.argsort(chain[:, 0], kind="stable")]
 
 
-def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:
-    """Convex Region from an arbitrary point cloud.
-
-    The origin and the axis projections of the extreme coordinates are always
-    included, so the result is downward closed even when the input points all
-    lie off the axes.  The Pareto frontier of a convex downward-closed region
-    is the chain of non-dominated hull vertices, so sampling it is exact
-    piecewise-linear interpolation.
-    """
+def _anchored(points) -> np.ndarray:
+    """points, with the origin and the axis projections of their extremes."""
     pts = np.asarray(points, float).reshape(-1, 2)
     anchors = [[0.0, 0.0]]
     if pts.size:
         anchors += [[float(pts[:, 0].max()), 0.0], [0.0, float(pts[:, 1].max())]]
-    hull = convex_hull(np.vstack([pts, anchors]))
-    chain = pareto_vertices(hull)
-    grid = np.linspace(0.0, float(hull[:, 0].max()), frontier_samples)
-    return Region(
-        vertices=hull,
-        frontier_r1=grid,
-        frontier_r2=np.interp(grid, chain[:, 0], chain[:, 1]),
-        convex=True,
-    )
+    return np.vstack([pts, anchors])
+
+
+def regions_from_points(clouds: Iterable[np.ndarray],
+                        frontier_samples: int = FRONTIER_SAMPLES) -> list[Region]:
+    """A convex Region from each point cloud, their hulls built in one batch.
+
+    The origin and the axis projections of the extreme coordinates are always
+    included, so each result is downward closed even when its input points
+    all lie off the axes.  The Pareto frontier of a convex downward-closed
+    region is the chain of non-dominated hull vertices, so sampling it is
+    exact piecewise-linear interpolation.
+    """
+    regions = []
+    for hull in convex_hulls([_anchored(pts) for pts in clouds]):
+        chain = pareto_vertices(hull)
+        grid = np.linspace(0.0, float(hull[:, 0].max()), frontier_samples)
+        regions.append(Region(
+            vertices=hull,
+            frontier_r1=grid,
+            frontier_r2=np.interp(grid, chain[:, 0], chain[:, 1]),
+            convex=True,
+        ))
+    return regions
+
+
+def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMPLES) -> Region:
+    """regions_from_points of the one cloud points."""
+    return regions_from_points([points], frontier_samples)[0]
 
 
 def envelope_union(

@@ -21,6 +21,7 @@ from gicnof.geometry import (
     RateRegionPolytope,
     batch_vertices,
     discard_strictly_dominated,
+    pareto_vertices,
     region_from_points,
 )
 from conftest import random_channels
@@ -414,3 +415,43 @@ class TestPrunedSweep:
         assert walked <= 0.01 * 65 * 33 * 33
         assert survivors <= 300
         assert_matches_unpruned(p, DOUBLED)
+
+
+class TestFanChain:
+    """The pre-region of the prune: extreme points of the coarse cloud in a fan."""
+
+    def test_knots_ascend_and_lie_inside_the_coarse_hull(self, p_star):
+        for p in [p_star] + random_channels(30, 20260407):
+            caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
+            cloud = ach._coarse_cloud(caps, ach.single_user_anchors(p))
+            r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)
+            assert 2 <= knot_r1.size <= ach.FAN_DIRECTIONS
+            assert np.all(np.diff(knot_r1) > 0.0) and np.all(np.diff(knot_r2) < 0.0)
+            scale = max(1.0, np.abs(cloud).max())
+            assert r1_max == knot_r1[-1]
+            assert cloud[:, 0].max() - r1_max <= 1e-12 * scale
+            assert cloud[:, 1].max() - knot_r2[0] <= 1e-12 * scale
+            # every knot is a point of the cloud, so the chain is inside its hull
+            knots = np.column_stack([knot_r1, knot_r2])
+            assert all(np.any(np.all(cloud == k, axis=1)) for k in knots)
+            _, hull_r1, hull_r2 = region_from_points(cloud).boundary
+            xs = np.linspace(0.0, r1_max, 257)
+            assert np.all(np.interp(xs, knot_r1, knot_r2)
+                          <= np.interp(xs, hull_r1, hull_r2) + 1e-12 * scale)
+
+    def test_knots_are_the_extreme_points_of_the_fan(self):
+        rng = np.random.default_rng(97)
+        theta = np.linspace(0.0, 0.5 * np.pi, ach.FAN_DIRECTIONS)
+        for _ in range(20):
+            cloud = rng.uniform(0.0, 3.0, size=(200, 2))
+            _, knot_r1, knot_r2 = ach._fan_chain(cloud)
+            extreme = cloud[np.argmax(cloud @ np.array([np.cos(theta), np.sin(theta)]), axis=0)]
+            assert {tuple(v) for v in np.column_stack([knot_r1, knot_r2])} == \
+                {tuple(v) for v in pareto_vertices(extreme)}
+
+    def test_dominated_extreme_points_are_dropped(self):
+        # direction 0 finds the first of the points tied at the largest R1,
+        # here the lower one; it would pull the chain down to the R1 axis
+        cloud = np.array([[2.8, 0.0], [0.0, 7.3], [2.8, 4.0]])
+        assert ach._fan_chain(cloud)[0] == 2.8
+        assert np.column_stack(ach._fan_chain(cloud)[1:]).tolist() == [[0.0, 7.3], [2.8, 4.0]]

@@ -187,3 +187,31 @@ class TestSweepSymmetric:
     def test_constant_gap_bound_on_small_grid(self):
         surface = sweep_symmetric(10.0 ** 3, [0.3, 0.9, 1.4], [0.2, 1.0, 2.5])
         assert np.nanmax(surface.gaps) <= 4.5
+
+    def test_batched_rows_equal_the_per_cell_gaps(self):
+        # each row's hulls are built in one batch; every cell must still be
+        # the gap of its own two regions, bit for bit
+        snr = 1e4
+        alphas, betas = [0.25, 0.7, 1.05, 1.5], [0.1, 0.6, 1.1, 1.7, 2.3, 2.9]
+        surface = sweep_symmetric(snr, alphas, betas)
+        assert surface.missing == {}
+        for ia, alpha in enumerate(alphas):
+            for ib, beta in enumerate(betas):
+                p = symmetric_params(SymmetricPoint(snr=snr, alpha=alpha, beta=beta))
+                want = deflation_gap(*gap.regions(p)).gap
+                assert surface.gaps[ia, ib].tobytes() == np.float64(want).tobytes()
+
+    def test_degenerate_row_is_recorded_cell_by_cell(self):
+        # alpha = -400 underflows the INR to 0 at 40 dB: every cell of that row
+        # is missing with its reason, and the other row is still computed
+        surface = sweep_symmetric(1e4, [-400.0, 0.5], [0.5, 1.0])
+        assert list(surface.missing) == [(0, 0), (0, 1)]
+        assert all("zero INR" in why for why in surface.missing.values())
+        assert np.isnan(surface.gaps[0]).all()
+        for ib, beta in enumerate([0.5, 1.0]):
+            p = symmetric_params(SymmetricPoint(snr=1e4, alpha=0.5, beta=beta))
+            assert surface.gaps[1, ib] == exact_gap(p).exact_gap
+
+    def test_invalid_grid_propagates(self):
+        with pytest.raises(ValueError, match="mu grids"):
+            sweep_symmetric(1e4, [0.5], [0.5, 1.0], GridSpec(33, 1))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -196,7 +197,7 @@ class TestVerticesOutside:
             all_pts, all_idx = batch_vertices(coeffs, rhs)
             finite = all_pts[np.isfinite(all_pts).all(axis=1)]
             inner = region_from_points(finite * rng.uniform(0.3, 1.0))  # inside the hull
-            pts, idx = vertices_outside(coeffs, rhs, inner)
+            pts, idx = vertices_outside(coeffs, rhs, inner.boundary)
             kept = np.unique(idx)
             want, want_idx = batch_columns(coeffs, rhs, kept)
             assert pts.tobytes() == want.tobytes() and idx.tobytes() == want_idx.tobytes()
@@ -225,7 +226,7 @@ class TestVerticesOutside:
         rhs = np.vstack([a, b, np.full((3, a.size), 10.0)])
         inner = region_from_points(knots)
         assert np.array_equal(np.column_stack(inner.boundary[1:]), knots)
-        _, idx = vertices_outside(np.array(FAMILIES), rhs, inner)
+        _, idx = vertices_outside(np.array(FAMILIES), rhs, inner.boundary)
         assert np.array_equal(np.unique(idx), np.arange(a.size))
 
     def test_survivors_keep_the_batch_tolerance(self):
@@ -236,7 +237,7 @@ class TestVerticesOutside:
         coeffs = np.array(FAMILIES)
         rhs = np.array([[1e6, 1e6, 0.1, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
         inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        pts, idx = vertices_outside(coeffs, rhs, inner)
+        pts, idx = vertices_outside(coeffs, rhs, inner.boundary)
         assert set(idx.tolist()) == {1}
         want, _ = batch_columns(coeffs, rhs, [1])
         assert pts.tobytes() == want.tobytes()
@@ -378,6 +379,122 @@ class TestConvexHull:
         for pts in (TWIN_CLOUD, rng.normal(size=(500, 2)), np.abs(rng.normal(size=(500, 2)))):
             mirrored = {tuple(v) for v in convex_hull(pts[:, ::-1])}
             assert mirrored == {tuple(v[::-1]) for v in convex_hull(pts)}
+
+
+def _outside(pts, a, b):
+    """Signed distance of pts beyond the directed line a -> b (positive on its right)."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    return (ey * (pts[:, 0] - a[0]) - ex * (pts[:, 1] - a[1])) / math.hypot(ex, ey)
+
+
+def _chain_between(pts, a, b, eps):
+    """Indices of the hull vertices right of a -> b, by recursive farthest points:
+    only points more than eps beyond an edge are candidates for it, the
+    farthest one (the first of ties) becomes a vertex, and both new edges
+    get every candidate."""
+    found = []
+    stack = [(a, b, np.arange(len(pts)))]
+    while stack:
+        a, b, idx = stack.pop()
+        dist = _outside(pts[idx], pts[a], pts[b])
+        beyond = dist > eps
+        if not beyond.any():
+            continue
+        idx, dist = idx[beyond], dist[beyond]
+        f = int(idx[np.argmax(dist)])
+        found.append(f)
+        stack += [(a, f, idx), (f, b, idx)]
+    return found
+
+
+def recursive_convex_hull(points):
+    """The quickhull with one edge per iteration, as the reference for
+    convex_hulls: the same seeds, tolerance and last pass."""
+    pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
+                     dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        return pts
+    first, last = geometry._lex_extreme(pts, 1.0), geometry._lex_extreme(pts, -1.0)
+    if np.array_equal(pts[first], pts[last]):
+        return pts[[first]]
+    eps = geometry._hull_eps(pts)
+    lower = geometry._lex_order(pts[_chain_between(pts, first, last, eps)])
+    upper = geometry._lex_order(pts[_chain_between(pts, last, first, eps)])[::-1]
+    hull = geometry._drop_collinear(np.vstack([pts[[first]], lower, pts[[last]], upper]), eps)
+    start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
+    return np.roll(hull, -start, axis=0) + 0.0
+
+
+def reference_clouds():
+    """3,000 seeded clouds: plain random, rounded to 0.1 (collinear runs and
+    exact ties), with ulp-perturbed duplicates, and TWIN_CLOUD."""
+    rng = np.random.default_rng(20260418)
+    clouds = [TWIN_CLOUD]
+    for k in range(2999):
+        n = int(rng.integers(1, 400))
+        kind = k % 4
+        if kind == 0:
+            pts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == 1:
+            pts = np.round(rng.uniform(0.0, 3.0, size=(n, 2)), 1)
+        elif kind == 2:
+            base = np.abs(rng.normal(size=(n, 2)))
+            twins = base[rng.integers(0, n, size=n // 2 + 1)]
+            ulps = rng.integers(-3, 4, size=twins.shape)
+            pts = np.vstack([base, twins + ulps * np.spacing(twins)])
+        else:
+            # a staircase hugging a concave frontier, like the inner sweep's survivors
+            x = np.sort(rng.uniform(0.0, 4.0, n))
+            pts = np.column_stack([x, np.sqrt(16.0 - x ** 2) - rng.exponential(1e-3, n)])
+            pts = np.vstack([pts, [[0.0, 0.0], [x.max(), 0.0], [0.0, pts[:, 1].max()]]])
+        clouds.append(pts)
+    return clouds
+
+
+class TestBatchedHull:
+    """convex_hulls equals the recursive quickhull bit for bit, cloud by cloud."""
+
+    def test_matches_the_recursive_reference(self):
+        clouds = reference_clouds()
+        want = [recursive_convex_hull(pts) for pts in clouds]
+        for pts, ref in zip(clouds, want):
+            got = convex_hull(pts)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        for start in range(0, len(clouds), 97):  # batches of mixed kinds and sizes
+            batch = geometry.convex_hulls(clouds[start:start + 97])
+            assert [h.tobytes() for h in batch] == [h.tobytes() for h in want[start:start + 97]]
+
+    def test_matches_the_reference_on_inner_sweep_clouds(self):
+        clouds = []
+        for p in random_channels(20, 20260401):
+            caps = achievability.family_caps(p, *achievability.parameter_grids(
+                p, achievability.DEFAULT_GRID))
+            clouds.append(geometry._anchored(achievability.inner_cloud(p, caps)))
+        for pts, got in zip(clouds, geometry.convex_hulls(clouds)):
+            assert got.tobytes() == recursive_convex_hull(pts).tobytes()
+
+    def test_mixed_batch_equals_one_cloud_calls(self):
+        rng = np.random.default_rng(41)
+        clouds = [
+            np.empty((0, 2)),
+            [[1.0, 2.0]],                                  # one point, as a list
+            np.array([[0.5, 0.5]] * 4),                    # one point, repeated
+            np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0)]),  # all collinear
+            rng.normal(size=(300, 2)),
+            np.empty((0, 2)),
+            TWIN_CLOUD,
+            np.round(rng.uniform(size=(200, 2)), 1),
+        ]
+        batch = geometry.convex_hulls(clouds)
+        assert len(batch) == len(clouds)
+        for pts, got in zip(clouds, batch):
+            want = convex_hull(pts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.tobytes() == recursive_convex_hull(pts).tobytes()
+        assert batch[0].shape == (0, 2) and batch[1].tolist() == [[1.0, 2.0]]
+        assert batch[2].tolist() == [[0.5, 0.5]]
+        assert batch[3].tolist() == [[0.0, 0.0], [5.0, 10.0]]
+        assert geometry.convex_hulls([]) == []
 
 
 class TestDominanceFilter:
