@@ -25,7 +25,8 @@ hull, so the sweep drops the others before enumerating vertices (the
 Akl-Toussaint heuristic, applied to whole polytopes).  The coarse cloud is
 the vertices of a coarse sub-grid (every COARSE_STRIDE-th rho and mu index
 plus the last) and the single-user corners.  Its extreme points in
-FAN_DIRECTIONS directions evenly spaced over [0, pi/2] are points of the
+FAN_DIRECTIONS directions evenly spaced over [0, pi/2], and the point
+farthest beyond the chord of each two adjacent ones, are points of the
 region, so the chain Q through them, by ascending R1, lies inside it.  Each polytope's caps are tightened once to its support
 values, and a polytope with finite, nonnegative caps is dropped when the
 corners where its slope-adjacent tightened lines meet all lie more than a
@@ -274,13 +275,20 @@ def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """An upper boundary (r1_max, knot_r1, knot_r2) inside a cloud's hull.
 
     The knots are the cloud's extreme points in FAN_DIRECTIONS directions
-    evenly spaced over [0, pi/2] (the first one found of exact ties), less
-    the ones another of them dominates, by ascending R1; r1_max is the
-    largest knot R1.  Every knot is a point of the cloud, so the chain lies
-    inside its hull's downward closure.
+    evenly spaced over [0, pi/2] (the first one found of exact ties), and,
+    for each pair of adjacent ones, the point farthest beyond their chord,
+    if any lies beyond it: that catches a hull vertex whose normal cone is
+    narrower than the fan's spacing.  Knots another knot dominates are left
+    out, and the rest are sorted by ascending R1; r1_max is the largest knot
+    R1.  Every knot is a point of the cloud, so the chain lies inside its
+    hull's downward closure.
     """
     score = points[:, :1] * _FAN[0] + points[:, 1:] * _FAN[1]
-    chain = pareto_vertices(points[np.unique(np.argmax(score, axis=0))])
+    fan = pareto_vertices(points[np.unique(np.argmax(score, axis=0))])
+    a, d = fan[:-1, :, None], np.diff(fan, axis=0)[:, :, None]
+    beyond = d[:, 0] * (points[:, 1] - a[:, 1]) - d[:, 1] * (points[:, 0] - a[:, 0])
+    far = np.argmax(beyond, axis=1)
+    chain = pareto_vertices(np.vstack([fan, points[far[beyond[np.arange(far.size), far] > 0.0]]]))
     return float(chain[-1, 0]), chain[:, 0], chain[:, 1]
 
 

@@ -12,7 +12,10 @@ to the exact gap rather than asserted to dominate it.
 
 from __future__ import annotations
 
+import atexit
+import os
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -141,6 +144,69 @@ def regions(
     return inner, outer
 
 
+def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
+                 converse_grid: GridSpec) -> list:
+    """The gap of each cell (alpha, beta) of a run of one alpha row, or the
+    reason a DegenerateChannelError gave for it, in beta order.
+
+    A run is built in three steps: each cell's inner cloud
+    (achievability.inner_cloud, its caps dropped once it is made), then one
+    batch of hulls for the run (geometry.regions_from_points), then each
+    cell's converse region and deflation gap.  Any other exception
+    propagates.
+    """
+    out, cells, clouds = [None] * len(betas), [], []
+    for ib, beta in enumerate(betas):
+        p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
+        try:  # the caps are dropped as soon as the cloud is made
+            axes = achievability.parameter_grids(p, grid)
+            clouds.append(achievability.inner_cloud(p, achievability.family_caps(p, *axes)))
+            cells.append((ib, p))
+        except DegenerateChannelError as exc:
+            out[ib] = str(exc)
+    for (ib, p), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
+        try:
+            out[ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
+        except DegenerateChannelError as exc:
+            out[ib] = str(exc)
+    return out
+
+
+_POOL = None  # (pid of the process that made it, its ProcessPoolExecutor)
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Stop this process's pool, so that no worker outlives the interpreter."""
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[1].shutdown()
+
+
+def _pool(workers: int):
+    """The sweep's persistent fork pool of workers processes, or None where
+    the fork start method is missing.
+
+    It is made on first use, and made again in a forked child or once
+    broken.  The imports are made here, so that importing gicnof stays as
+    cheap as it was.
+    """
+    global _POOL
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    pid = os.getpid()
+    if _POOL is None or _POOL[0] != pid or _POOL[1]._broken:
+        from concurrent.futures import ProcessPoolExecutor
+        context = multiprocessing.get_context("fork")
+        _POOL = (pid, ProcessPoolExecutor(workers, mp_context=context))
+    return _POOL[1]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def sweep_symmetric(
     snr: float,
     alpha_grid,
@@ -153,10 +219,11 @@ def sweep_symmetric(
     Degenerate cells are recorded as missing with their reason instead of
     aborting the sweep; in practice only zero-INR cells can be degenerate.
     Each cell's gap is deflation_gap(*regions(p, grid, converse_grid)).gap.
-    An alpha row is built in three steps: each cell's inner cloud
-    (achievability.inner_cloud, its caps dropped once it is made), then one
-    batch of hulls for the row (geometry.regions_from_points), then each
-    cell's converse region and deflation gap.
+    The cells are cut into runs in row-major order (_sweep_chunk): one alpha
+    row each, or, when there are fewer rows than CPUs, even parts of each
+    row.  The runs go to a persistent pool of one forked worker process per
+    CPU of the affinity mask, or are run in this process when there is one
+    run, one CPU or no fork.  Each cell's gap is the same either way.
     """
     grid = grid or achievability.DEFAULT_GRID
     converse_grid = converse_grid or converse.DEFAULT_GRID
@@ -164,21 +231,19 @@ def sweep_symmetric(
     beta_grid = np.asarray(beta_grid, float)
     gaps = np.full((alpha_grid.size, beta_grid.size), np.nan)
     missing: dict = {}
-    for ia, alpha in enumerate(alpha_grid):
-        cells, clouds, reasons = [], [], {}
-        for ib, beta in enumerate(beta_grid):
-            p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
-            try:  # the caps are dropped as soon as the cloud is made
-                axes = achievability.parameter_grids(p, grid)
-                clouds.append(achievability.inner_cloud(p, achievability.family_caps(p, *axes)))
-                cells.append((ib, p))
-            except DegenerateChannelError as exc:
-                reasons[ib] = str(exc)
-        for (ib, p), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
-            try:
-                gaps[ia, ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
-            except DegenerateChannelError as exc:
-                reasons[ib] = str(exc)
-        missing.update(((ia, ib), reasons[ib]) for ib in sorted(reasons))
+    cpus, nb = _cpus(), beta_grid.size
+    parts = max(1, min(nb, -(-cpus // max(1, alpha_grid.size))))  # runs per row
+    chunks = [(ia, range(nb * k // parts, nb * (k + 1) // parts))
+              for ia in range(alpha_grid.size) for k in range(parts)]
+    args = [(snr, alpha_grid[ia], beta_grid[ibs.start:ibs.stop], grid, converse_grid)
+            for ia, ibs in chunks]
+    pool = _pool(cpus) if len(chunks) > 1 and cpus > 1 else None
+    results = starmap(_sweep_chunk, args) if pool is None else pool.map(_sweep_chunk, *zip(*args))
+    for (ia, ibs), out in zip(chunks, results):
+        for ib, cell in zip(ibs, out):
+            if isinstance(cell, str):
+                missing[(ia, ib)] = cell
+            else:
+                gaps[ia, ib] = cell
     return GapSurface(snr=snr, alpha_grid=alpha_grid, beta_grid=beta_grid,
                       gaps=gaps, missing=missing)

@@ -416,6 +416,16 @@ class TestPrunedSweep:
         assert survivors <= 300
         assert_matches_unpruned(p, DOUBLED)
 
+    def test_narrow_normal_cone_vertex_is_a_knot(self):
+        # the coarse vertex (3.879, 5.523) of this channel is extreme only
+        # between 44.1 and 45.0 degrees, between two directions of the fan;
+        # without it in the chain 8,961 of the 9,537 polytopes were walked
+        p = ChannelParameters(305293.56377904624, 7041.285293155534, 1779.0518652043907,
+                              1.0098217175632533, 628.2254775094234, 22901.21436540122)
+        _, walked, _ = probe_sweep(p, ach.DEFAULT_GRID)
+        assert walked <= 4369
+        assert_matches_unpruned(p, ach.DEFAULT_GRID)
+
 
 class TestFanChain:
     """The pre-region of the prune: extreme points of the coarse cloud in a fan."""
@@ -425,7 +435,7 @@ class TestFanChain:
             caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
             cloud = ach._coarse_cloud(caps, ach.single_user_anchors(p))
             r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)
-            assert 2 <= knot_r1.size <= ach.FAN_DIRECTIONS
+            assert 2 <= knot_r1.size <= 2 * ach.FAN_DIRECTIONS - 1
             assert np.all(np.diff(knot_r1) > 0.0) and np.all(np.diff(knot_r2) < 0.0)
             scale = max(1.0, np.abs(cloud).max())
             assert r1_max == knot_r1[-1]
@@ -440,14 +450,25 @@ class TestFanChain:
                           <= np.interp(xs, hull_r1, hull_r2) + 1e-12 * scale)
 
     def test_knots_are_the_extreme_points_of_the_fan(self):
+        # and, between each two adjacent ones, the point farthest beyond
+        # their chord, where a point lies beyond it
         rng = np.random.default_rng(97)
         theta = np.linspace(0.0, 0.5 * np.pi, ach.FAN_DIRECTIONS)
+        added = 0
         for _ in range(20):
             cloud = rng.uniform(0.0, 3.0, size=(200, 2))
             _, knot_r1, knot_r2 = ach._fan_chain(cloud)
             extreme = cloud[np.argmax(cloud @ np.array([np.cos(theta), np.sin(theta)]), axis=0)]
+            fan = pareto_vertices(extreme)
+            want = list(fan)
+            for a, b in zip(fan[:-1], fan[1:]):
+                beyond = (cloud - a) @ np.array([a[1] - b[1], b[0] - a[0]])
+                if beyond.max() > 0.0:
+                    want.append(cloud[beyond.argmax()])
+            added += len(want) - len(fan)
             assert {tuple(v) for v in np.column_stack([knot_r1, knot_r2])} == \
-                {tuple(v) for v in pareto_vertices(extreme)}
+                {tuple(v) for v in pareto_vertices(np.array(want))}
+        assert added > 0
 
     def test_dominated_extreme_points_are_dropped(self):
         # direction 0 finds the first of the points tied at the largest R1,

@@ -215,3 +215,68 @@ class TestSweepSymmetric:
     def test_invalid_grid_propagates(self):
         with pytest.raises(ValueError, match="mu grids"):
             sweep_symmetric(1e4, [0.5], [0.5, 1.0], GridSpec(33, 1))
+
+
+def parallel_cpus():
+    if gap._cpus() < 2:
+        pytest.skip("the parallel sweep needs two CPUs in the affinity mask")
+
+
+class TestParallelSweep:
+    """sweep_symmetric on a pool of forked workers, against the in-process path."""
+
+    def test_parallel_and_in_process_sweeps_are_identical(self, monkeypatch):
+        parallel_cpus()
+        cases = [(1e4, [-400.0, 0.5, 1.3], [0.1, 0.5, 0.9, 1.4, 2.2, 3.0]),  # row chunks
+                 (1e3, [0.7], [0.2, 0.8, 1.6])]                            # a split row
+        got = [sweep_symmetric(*case) for case in cases]
+        assert gap._POOL is not None
+        monkeypatch.setattr(gap, "_cpus", lambda: 1)
+        want = [sweep_symmetric(*case) for case in cases]
+        for a, b in zip(got, want):
+            assert a.gaps.tobytes() == b.gaps.tobytes()
+            assert list(a.missing.items()) == list(b.missing.items())
+        assert list(got[0].missing) == [(0, ib) for ib in range(6)]
+        assert "zero INR" in got[0].missing[(0, 0)]
+
+    def test_chunks_are_rows_or_even_parts_of_rows(self, monkeypatch):
+        runs = []
+
+        def spy(snr, alpha, betas, grid, converse_grid):
+            runs.append((alpha, len(betas)))
+            return [float(b) for b in betas]
+
+        monkeypatch.setattr(gap, "_sweep_chunk", spy)
+        monkeypatch.setattr(gap, "_pool", lambda workers: None)  # run in this process
+        monkeypatch.setattr(gap, "_cpus", lambda: 2)
+        betas = np.linspace(0.1, 1.0, 10)
+        surface = sweep_symmetric(1e4, [0.5], betas)
+        assert runs == [(0.5, 5), (0.5, 5)]
+        assert surface.gaps.tobytes() == betas[None, :].tobytes()
+        runs.clear()
+        sweep_symmetric(1e4, [0.5, 0.7, 0.9], betas[:3])
+        assert runs == [(0.5, 3), (0.7, 3), (0.9, 3)]
+        runs.clear()
+        monkeypatch.setattr(gap, "_cpus", lambda: 4)
+        sweep_symmetric(1e4, [0.5, 0.7], betas[:3])
+        assert runs == [(0.5, 1), (0.5, 2), (0.7, 1), (0.7, 2)]
+
+    def test_invalid_grid_raises_through_a_worker(self):
+        parallel_cpus()
+        with pytest.raises(ValueError, match="mu grids") as excinfo:
+            sweep_symmetric(1e4, [0.5, 1.0], [0.5, 1.0], GridSpec(33, 1))
+        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+
+    def test_one_cell_sweep_creates_no_pool(self, monkeypatch):
+        monkeypatch.setattr(gap, "_POOL", None)
+        sweep_symmetric(100.0, [1.0], [1.0])
+        assert gap._POOL is None
+
+    def test_two_sweeps_reuse_the_worker_processes(self):
+        parallel_cpus()
+        sweep_symmetric(100.0, [0.5, 1.0], [0.5, 1.5])
+        pool = gap._POOL[1]
+        pids = set(pool._processes)
+        sweep_symmetric(100.0, [0.5, 1.0], [0.5, 1.5])
+        assert gap._POOL[1] is pool and set(pool._processes) == pids
+        assert len(pids) == gap._cpus()
