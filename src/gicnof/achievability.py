@@ -27,15 +27,20 @@ the vertices of a coarse sub-grid (every COARSE_STRIDE-th rho and mu index
 plus the last) and the single-user corners.  Its extreme points in
 FAN_DIRECTIONS directions evenly spaced over [0, pi/2], and the point
 farthest beyond the chord of each two adjacent ones, are points of the
-region, so the chain Q through them, by ascending R1, lies inside it.  Each polytope's caps are tightened once to its support
-values, and a polytope with finite, nonnegative caps is dropped when the
-corners where its slope-adjacent tightened lines meet all lie more than a
-scale-relative 1e-9 below Q and left of Q's largest R1.  Every direction
-n >= 0 lies in the cone of two slope-adjacent directions, where the
-polytope's support is at most n . (their corner), so a dropped polytope
-lies strictly inside the region's downward closure: none of its points is a
-hull vertex, the farthest point of a quickhull step, or the largest R1 or
-R2.  The region is bit for bit the one the unpruned sweep gives.
+region, so the chain Q through them, by ascending R1, lies inside it.  The
+prune runs in support space (geometry.vertices_outside).  The facets
+n . v <= b of Q's downward closure (R2 below Q's first knot, one per pair of
+adjacent knots, R1 below Q's largest R1) have normals n >= 0, and each n is
+a nonnegative mix of two slope-adjacent family directions, so a polytope's
+support in n is at most the same mix of its supports in those two.  A
+polytope with finite, nonnegative caps is dropped when that bound lies
+below b less a scale-relative 1e-9 * (n1 + n2) on every facet: first with
+supports bounded from the raw caps by the LP-dual terms that pair two
+families, over the whole grid; then, for the few polytopes left, with their
+exact supports once tightened.  A dropped polytope lies strictly inside the
+region's downward closure: none of its points is a hull vertex, the
+farthest point of a quickhull step, or the largest R1 or R2.  The region is
+bit for bit the one the unpruned sweep gives.
 """
 
 from __future__ import annotations

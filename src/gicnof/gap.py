@@ -182,13 +182,28 @@ def _shutdown_pool() -> None:
         _POOL[1].shutdown()
 
 
+def _forget_pool() -> None:
+    """In a forked child: drop the pool and its workers, which belong to the
+    parent, so that the child neither reuses them nor joins them at exit."""
+    global _POOL
+    if _POOL is not None:
+        import multiprocessing.process
+        for worker in (_POOL[1]._processes or {}).values():
+            multiprocessing.process._children.discard(worker)
+        _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _pool(workers: int):
     """The sweep's persistent fork pool of workers processes, or None where
     the fork start method is missing.
 
-    It is made on first use, and made again in a forked child or once
-    broken.  The imports are made here, so that importing gicnof stays as
-    cheap as it was.
+    It is made on first use, and made again once broken or in a forked
+    child, which forgets its parent's (_forget_pool).  The imports are made
+    here, so that importing gicnof stays as cheap as it was.
     """
     global _POOL
     import multiprocessing

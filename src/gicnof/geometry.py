@@ -25,14 +25,17 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
 - batch_vertices tightens every cap to its support value by 2-D LP duality
   and walks the directions in slope order, a fixed number of passes over
   arrays of length n: O(n (pairs + m)) time, O(n m) memory;
-- vertices_outside tightens all n polytopes the same way and walks only
-  the w that are not strictly inside an inner chain with q knots (for the
-  inner sweep, the extreme points of a coarse sub-grid's vertices in a fan
-  of directions): O(n (pairs + m log q)) time, and the k candidates below
-  come from w polytopes, not from n.  A polytope's support in a direction
-  d >= 0 is at most d . (the corner of the two slope-adjacent tightened
-  lines whose cone holds d), so a polytope whose corners all lie below the
-  inner chain lies inside the region and holds no hull vertex;
+- vertices_outside walks only the w polytopes that are not strictly inside
+  an inner chain with q knots (for the inner sweep, the extreme points of
+  a coarse sub-grid's vertices in a fan of directions), and tests them in
+  support space: each facet normal n >= 0 of the chain's downward closure
+  is a nonnegative mix of two slope-adjacent directions, so a polytope's
+  support in n is at most the same mix of its supports in them.  A first
+  pass bounds those supports from the raw caps by the LP-dual terms that
+  pair two constraint rows: O(n (pairs + q)) time, no corner and no
+  tightening.  Only the polytopes it keeps are tightened and tested again
+  on their exact supports, and the k candidates below come from w
+  polytopes, not from n;
 - discard_strictly_dominated cuts its k candidates with an O(k) bucketed
   staircase and sorts only the survivors s: O(k + s log s);
 - convex_hulls is a quickhull on the survivors with no sort of its input,
@@ -438,8 +441,9 @@ class _Tightened:
         return {m: 0.0, m + 1: 0.0, **{k: h[r] for r, (k, _) in enumerate(self.walk.duals)}}
 
 
-def _tighten(coeffs: np.ndarray, rhs: np.ndarray) -> _Tightened:
-    """The LP-duality step of batch_vertices, for every column of rhs."""
+def _live_caps(coeffs: np.ndarray, rhs: np.ndarray):
+    """The walk of coeffs, the nonempty columns live of rhs and their caps,
+    each parallel row's cap folded into its walked row's."""
     coeffs = np.asarray(coeffs, float)
     rhs = np.asarray(rhs, float)
     walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
@@ -450,8 +454,21 @@ def _tighten(coeffs: np.ndarray, rhs: np.ndarray) -> _Tightened:
     caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
     for row, member, scale in walk.fold:
         np.minimum(caps[row], scale * caps[member], out=caps[row])
+    return walk, live, caps
 
-    eps = HULL_EPS * float(np.max(caps, where=caps < np.inf, initial=1.0))
+
+def _batch_eps(caps: np.ndarray) -> float:
+    """The tolerance of the single-vertex test: HULL_EPS times the largest
+    finite cap of the batch, or HULL_EPS when that is below 1."""
+    top = float(np.max(caps, initial=1.0))
+    if top == np.inf:
+        top = float(np.max(caps, where=caps < np.inf, initial=1.0))
+    return HULL_EPS * top
+
+
+def _tighten(walk: _VertexWalk, live: np.ndarray, caps: np.ndarray, eps: float) -> _Tightened:
+    """The LP-duality step of batch_vertices for the columns live, of caps
+    caps (one column each), with the batch tolerance eps."""
     tight = np.empty((len(walk.duals), live.size))
     single = np.empty(tight.shape, bool)  # rows whose line touches at one vertex
     best, term, part = np.empty((3, live.size))
@@ -467,18 +484,14 @@ def _tighten(coeffs: np.ndarray, rhs: np.ndarray) -> _Tightened:
     return _Tightened(walk, live, tight, single)
 
 
-def _corner(walk: _VertexWalk, lines: dict, a: int, b: int, det: float):
-    """Where the lines of rows a and b meet."""
-    (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
-    return (lines[a] * b1 - lines[b] * a1) / det, (a0 * lines[b] - b0 * lines[a]) / det
-
-
 def _emit(t: _Tightened, cols=slice(None)):
     """The vertices the walk emits for the live columns cols, and their polytopes.
 
     Each step of the walk meets two slope-adjacent lines.  A row that
     touches at a single vertex leads a step whose corner repeats the one
-    before, which is skipped; so is a corner at infinity.
+    before, which is skipped; so is a corner at infinity, where a line at
+    infinity (a support value of +inf) meets another, and which is never
+    computed.
     """
     walk, lines = t.walk, t.lines(cols)
     single = dict(zip((k for k, _ in walk.duals), t.single[:, cols]))
@@ -486,12 +499,19 @@ def _emit(t: _Tightened, cols=slice(None)):
     x = np.empty((len(walk.steps), live.size))
     y = np.empty_like(x)
     keep = np.ones(x.shape, bool)
+    far = {}  # the lines at infinity of unbounded polytopes, which meet the others there
+    if not np.isfinite(t.support[:, cols]).all():
+        far = {k: ~np.isfinite(h) for k, h in lines.items() if np.ndim(h)}
+        lines = {k: np.where(far[k], 0.0, h) if k in far else h for k, h in lines.items()}
     for s, (lead, a, b, det) in enumerate(walk.steps):
-        x[s], y[s] = _corner(walk, lines, a, b, det)
+        (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
+        x[s] = (lines[a] * b1 - lines[b] * a1) / det
+        y[s] = (a0 * lines[b] - b0 * lines[a]) / det
         if s > 0 and lead in single:
             keep[s] = ~single[lead]
-    if not np.isfinite(t.support[:, cols]).all():
-        keep &= np.isfinite(x) & np.isfinite(y)  # points at infinity of unbounded polytopes
+        for k in (a, b):
+            if k in far:
+                keep[s] &= ~far[k]
     return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
 
 
@@ -519,41 +539,153 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
     """
-    return _emit(_tighten(coeffs, rhs))
+    walk, live, caps = _live_caps(coeffs, rhs)
+    return _emit(_tighten(walk, live, caps, _batch_eps(caps)))
+
+
+def _closure_facets(boundary: tuple, lift: float = 0.0):
+    """The facets a . p <= b of the downward closure of an upper boundary
+    (r1_max, knot_r1, knot_r2), knots by ascending R1 and descending R2:
+    one per pair of consecutive knots, a = (y_k - y_k+1, x_k+1 - x_k), then
+    R2 <= the first knot's R2 and R1 <= r1_max, each cap raised by lift.
+
+    Returns (a1, a2, b).  Their intersection lies inside the set of points
+    left of r1_max and below the knots' interpolant, and is that set when
+    the knots are concave: over each pair of knots, the facet of that pair
+    is the interpolant.
+    """
+    r1_max, x, y = boundary[0], np.asarray(boundary[1], float), np.asarray(boundary[2], float)
+    a1 = np.concatenate([y[:-1] - y[1:], [0.0, 1.0]])
+    a2 = np.concatenate([x[1:] - x[:-1], [1.0, 0.0]])
+    b = np.concatenate([a1[:-2] * x[:-1] + a2[:-2] * (y[:-1] + lift),
+                        [y[0] + lift, r1_max + lift]])
+    return a1, a2, b
+
+
+def _cone_terms(walk: _VertexWalk, n1: np.ndarray, n2: np.ndarray) -> list:
+    """Each normal (n1, n2) >= 0 as lam_a d_a + lam_c d_c over the two
+    slope-adjacent directions of a step of the walk, as its terms
+    (k, lam_k) with k a constraint row and lam_k > 0; an axis has cap 0 and
+    adds no term.  Of the steps, the one whose lesser multiplier is largest
+    is taken, so that rounding at the edge of a cone drops at most a
+    multiplier of a few ulps.
+    """
+    d, m = walk.dirs, len(walk.dirs) - 2
+    _, a, c, det = np.array(walk.steps).T
+    a, c = a.astype(int), c.astype(int)
+    lam_a = (n1[:, None] * d[c, 1] - n2[:, None] * d[c, 0]) / det
+    lam_c = (d[a, 0] * n2[:, None] - d[a, 1] * n1[:, None]) / det
+    best = np.argmax(np.minimum(lam_a, lam_c), axis=1)
+    rows = np.arange(best.size)
+    pairs = zip(a[best].tolist(), lam_a[rows, best].tolist(),
+                c[best].tolist(), lam_c[rows, best].tolist())
+    return [[(k, lam) for k, lam in ((ka, la), (kc, lc)) if k < m and lam > 0.0]
+            for ka, la, kc, lc in pairs]
+
+
+def _chain_facets(walk: _VertexWalk, inner: tuple) -> list:
+    """The facets n . v <= b of the inner chain's downward closure, each as
+    (terms, limit): n as terms (k, lam_k) of walked rows (_cone_terms), and
+    limit = b - 1e-9 * max(1, largest |knot|) * (n1 + n2)."""
+    _, knot_r1, knot_r2 = inner
+    n1, n2, b = _closure_facets(inner)
+    # a repeated knot gives no facet, nor does a pair whose R2 rises (by
+    # rounding, in a Pareto chain): the interpolant there lies above the
+    # last facet before it
+    facet = (n1 >= 0.0) & (n1 + n2 > 0.0)
+    margin = 1e-9 * max(1.0, float(np.abs(knot_r1).max()), float(np.abs(knot_r2).max()))
+    limits = (b - margin * (n1 + n2))[facet].tolist()
+    return list(zip(_cone_terms(walk, n1[facet], n2[facet]), limits))
+
+
+def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> dict:
+    """For each walked row k in rows, an upper bound u_k of its support
+    value over every column of caps: the least of caps[k] and its LP-dual
+    terms that pair two constraint rows.  By weak duality any of the terms
+    bounds it; the ones with an axis are left to the tightening."""
+    term, part = np.empty((2, caps.shape[1]))
+
+    def scaled(k, lam, out):  # lam * caps[k]; multiplying by 1 changes nothing
+        return caps[k] if lam == 1.0 else np.multiply(caps[k], lam, out=out)
+
+    u = {}
+    for k, dual in walk.duals:
+        if k in rows:
+            pairs = [(i, lam_i, j, lam_j) for i, lam_i, j, lam_j in dual if j is not None]
+            u[k] = caps[k].copy() if pairs else caps[k]
+            for i, lam_i, j, lam_j in pairs:
+                pair = np.add(scaled(i, lam_i, term), scaled(j, lam_j, part), out=term)
+                np.minimum(u[k], pair, out=u[k])
+    return u
+
+
+def _below(facets: list, u: dict, n: int) -> np.ndarray:
+    """Which of n polytopes lie inside every facet: sum of lam_k u_k over
+    its terms below its limit, u_k an upper bound of the support value."""
+    inside, flag = np.ones((2, n), bool)
+    bound, part = np.empty((2, n))
+    for ((k, lam), *rest), limit in facets:  # a normal n >= 0 has a row term
+        np.multiply(u[k], lam, out=bound)
+        for k, lam in rest:
+            bound += np.multiply(u[k], lam, out=part)
+        inside &= np.less(bound, limit, out=flag)
+    return inside
 
 
 def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
     """batch_vertices, less the polytopes strictly inside an inner chain.
 
     inner is an upper boundary (r1_max, knot_r1, knot_r2), knots by
-    ascending R1, as Region.boundary gives it: the set of points (x, y) with
-    x <= r1_max and y <= the knots' interpolant at x.  It must lie inside
-    the downward-closed region the vertices are for, as it does when every
-    knot is one of those vertices and r1_max the largest knot R1.  A
-    polytope is left out when its caps are all finite and nonnegative, and
-    every corner of its walk but the origin lies more than
-    1e-9 * max(1, largest |knot|) below the interpolant and left of r1_max.
-    Such a polytope is strictly inside the region: every direction n >= 0
-    lies in the cone of the normals of some two slope-adjacent tightened
-    lines, so its support value in n is at most n . (the corner where they
-    meet), less than the region's.  So none of its points is a hull vertex
-    of the region, or the farthest point beyond any chord of a quickhull.
-    The caps of the other polytopes are tightened in the same pass, with the
-    same tolerance, so their vertices are those batch_vertices returns for
-    them.
+    ascending R1 and descending R2, as Region.boundary gives it: the set of
+    points (x, y) with x <= r1_max and y <= the knots' interpolant at x.  It
+    must lie inside the downward-closed region the vertices are for, as it
+    does when every knot is one of those vertices and r1_max the largest
+    knot R1.
+
+    The test runs on support values, not on vertices.  Its facets are those
+    of the chain's downward closure (_closure_facets), all with normals
+    n >= 0, whose intersection lies inside that set even when the knots are
+    not concave.  A polytope is left out when its caps are all finite and
+    nonnegative and, on every facet n . v <= b, its support value in n lies
+    below b - margin * (n1 + n2), margin = 1e-9 * max(1, largest |knot|).
+    Then v + margin * (1, 1) is in the region for each of its points v, so
+    none of them is a hull vertex of the region, or the farthest point
+    beyond any chord of a quickhull.  n is lam_i d_i + lam_j d_j over two
+    slope-adjacent directions of the walk, so the support in n is at most
+    lam_i u_i + lam_j u_j for any upper bounds u of the supports in d.
+
+    The test runs twice.  First, over every column, u is the raw caps
+    lowered by the LP-dual terms that pair two constraint rows
+    (_pair_bounds), which drops almost every polytope that lies inside.
+    Only the columns left are tightened, with the tolerance of the whole
+    batch, so that their vertices are those batch_vertices returns for
+    them; the test is then made again with u their exact support values,
+    and what it keeps is walked.  So the polytopes left out are those the
+    exact test drops, and no corner of theirs is computed.  Cost: a fixed
+    number of array passes per dual term and per facet over the n columns,
+    O(n (pairs + q)) for q knots, then the tightening and walk of the few
+    columns the first pass keeps.
     """
-    r1_max, knot_r1, knot_r2 = inner
-    t = _tighten(coeffs, rhs)
+    walk, live, caps = _live_caps(coeffs, rhs)
     rhs = np.asarray(rhs, float)
-    inside = ((np.min(rhs, axis=0) >= 0.0) & (np.max(rhs, axis=0) < np.inf))[t.live]
-    lines, axis = t.lines(), len(rhs)  # rows from axis on are the two axes
-    margin = 1e-9 * max(1.0, float(np.abs(knot_r1).max()), float(np.abs(knot_r2).max()))
-    for _, a, b, det in t.walk.steps:
-        if a < axis:  # every step but the one between the two axes, at the origin
-            x, y = _corner(t.walk, lines, a, b, det)
-            inside &= x < r1_max - margin
-            inside &= y < np.interp(x, knot_r1, knot_r2) - margin
-    return _emit(t, np.flatnonzero(~inside))
+    finite = ((np.min(rhs, axis=0) >= 0.0) & (np.max(rhs, axis=0) < np.inf))[live]
+    facets = _chain_facets(walk, inner)
+    rows = {k for terms, _ in facets for k, _ in terms}
+
+    # first on bounds from the raw caps of every column, ...
+    near = np.ones(live.size, bool)
+    tested = np.flatnonzero(finite)
+    u = _pair_bounds(walk, caps if tested.size == live.size else caps[:, tested], rows)
+    near[tested] = ~_below(facets, u, tested.size)
+    near = np.flatnonzero(near)
+    # ... then on the support values of the columns left, once tightened
+    t = _tighten(walk, live[near], caps if near.size == live.size else caps[:, near],
+                 _batch_eps(caps))
+    walked = np.ones(near.size, bool)
+    tested = np.flatnonzero(finite[near])
+    support = dict(zip((k for k, _ in walk.duals), t.support[:, tested]))
+    walked[tested] = ~_below(facets, support, tested.size)
+    return _emit(t, np.flatnonzero(walked))
 
 
 def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:
@@ -780,12 +912,7 @@ def deflation_gap(inner: Region, outer: Region, tol: float = BISECTION_TOL) -> D
     if cand.shape[0] == 0:
         cand = np.zeros((1, 2))
 
-    r1_max, x, y = inner.boundary
-    # the facets a . p <= b of D: the chain's edges, R2 <= y[0] and R1 <= r1_max
-    a1 = np.concatenate([y[:-1] - y[1:], [0.0, 1.0]])
-    a2 = np.concatenate([x[1:] - x[:-1], [1.0, 0.0]])
-    b = np.concatenate([a1[:-2] * x[:-1] + a2[:-2] * (y[:-1] + FEASIBILITY_TOL),
-                        [y[0] + FEASIBILITY_TOL, r1_max + FEASIBILITY_TOL]])
+    a1, a2, b = _closure_facets(inner.boundary, FEASIBILITY_TOL)
     xi = np.max((cand[:, :1] * a1 + cand[:, 1:] * a2 - b) / (a1 + a2), axis=1)
 
     top = float(xi.max())

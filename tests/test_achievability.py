@@ -427,6 +427,25 @@ class TestPrunedSweep:
         assert_matches_unpruned(p, ach.DEFAULT_GRID)
 
 
+EDGE_CHANNELS = (
+    random_channels(40, 20261018, db_range=(-10.0, 80.0))
+    + [ChannelParameters(100.0, 30.0, 1e-9, 4.0, 50.0, 10.0),      # one INR of 1e-9
+       ChannelParameters(1e8, 1e8, 1e-9, 1e-9, 1e8, 1e8),          # both, at 80 dB
+       ChannelParameters(0.5, 0.2, 3.0, 0.1, 2.0, 0.7),            # sub-unity SNRs
+       ChannelParameters(0.1, 0.9, 0.3, 0.2, 0.05, 100.0),
+       ChannelParameters(0.3, 0.3, 20.0, 20.0, 1e4, 1e4)]
+)
+
+
+class TestPrunedSweepOnEdgeInputs:
+    """The prune on log-uniform channels up to 80 dB, tiny INRs and sub-unity SNRs."""
+
+    @pytest.mark.parametrize("grid", [ach.DEFAULT_GRID, DOUBLED, GridSpec(5, 3)])
+    def test_matches_unpruned(self, grid):
+        for p in EDGE_CHANNELS:
+            assert_matches_unpruned(p, grid)
+
+
 class TestFanChain:
     """The pre-region of the prune: extreme points of the coarse cloud in a fan."""
 

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +285,25 @@ class TestParallelSweep:
         sweep_symmetric(100.0, [0.5, 1.0], [0.5, 1.5])
         assert gap._POOL[1] is pool and set(pool._processes) == pids
         assert len(pids) == gap._cpus()
+
+    def test_a_forked_child_sweeps_and_exits_cleanly(self):
+        # the child inherits the parent's pool: it must make its own for its
+        # sweep, and must not try to join the parent's workers when it exits
+        parallel_cpus()
+        script = textwrap.dedent("""
+            import os, sys
+            from gicnof import gap, sweep_symmetric
+            first = sweep_symmetric(1e3, [0.5, 1.0], [0.5, 1.0])
+            assert gap._POOL is not None
+            pid = os.fork()
+            if pid == 0:
+                again = sweep_symmetric(1e3, [0.5, 1.0], [0.5, 1.0])
+                own = gap._POOL is not None and gap._POOL[0] == os.getpid()
+                sys.exit(0 if own and again.gaps.tobytes() == first.gaps.tobytes() else 3)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0 and done.stderr == "", done.stderr

@@ -185,6 +185,20 @@ def batch_columns(coeffs, rhs, cols):
     return pts[keep], idx[keep]
 
 
+def outside_and_tightened(coeffs, rhs, inner):
+    """vertices_outside, and the columns of each call it makes to _tighten."""
+    tightened, tighten = [], geometry._tighten
+
+    def spy(walk, live, caps, eps):
+        tightened.append(live.tolist())
+        return tighten(walk, live, caps, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_tighten", spy)
+        pts, idx = vertices_outside(coeffs, rhs, inner)
+    return pts, idx, tightened
+
+
 class TestVerticesOutside:
     def test_keeps_the_batch_vertices_of_every_other_column(self):
         rng = np.random.default_rng(83)
@@ -243,6 +257,124 @@ class TestVerticesOutside:
         assert pts.tobytes() == want.tobytes()
         assert len(pts) == 4
 
+
+    def test_survivors_keep_the_tolerance_of_polytopes_the_dual_bounds_drop(self):
+        # the first polytope is the square [0, 0.1]^2 with redundant caps of
+        # 1e6, left out before any tightening; its caps still set the
+        # tolerance of the single-vertex test to 1e-6, so the 1e-8 corner cut
+        # off the unit square is emitted once
+        coeffs = np.array(FAMILIES)
+        rhs = np.array([[0.1, 0.1, 1e6, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
+        inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        pts, idx, tightened = outside_and_tightened(coeffs, rhs, inner.boundary)
+        assert tightened == [[1]] and set(idx.tolist()) == {1}
+        want, _ = batch_columns(coeffs, rhs, [1])
+        assert pts.tobytes() == want.tobytes()
+        assert len(pts) == 4
+
+    def test_knots_tied_up_to_rounding(self):
+        # the second knot is the first moved up and right by less than the
+        # hull tolerance, as a Pareto chain can hold them; the pair gives no
+        # facet, and the polytopes under the top of the chain near the R2
+        # axis are left out.  The line through the pair would cut them.
+        coeffs = np.array(FAMILIES)
+        x0, y0 = 0.09604826, 2.89749254
+        inner = (2.0, np.array([x0, x0 + 2e-14, 2.0]), np.array([y0, y0 + 1e-14, 0.0]))
+        assert pareto_vertices(np.column_stack(inner[1:])).shape == (3, 2)
+        a = np.linspace(0.001, 0.09, 50)
+        rhs = np.vstack([a, np.full(a.size, 2.89), np.full((3, a.size), 10.0)])
+        pts, idx = vertices_outside(coeffs, rhs, inner)
+        assert idx.size == 0
+
+    def test_reflex_knot(self):
+        # the knot (1.0, 1.0) is reflex: the chain's facets cut the notch
+        # under the chord of its neighbours out of the interpolated set
+        rng = np.random.default_rng(101)
+        coeffs = np.array(FAMILIES)
+        inner = (3.0, np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 0.9, 0.0]))
+        rhs = rng.uniform(0.0, 2.5, size=(5, 2000))
+        all_pts, all_idx = batch_vertices(coeffs, rhs)
+        pts, idx = vertices_outside(coeffs, rhs, inner)
+        kept = np.unique(idx)
+        want, want_idx = batch_columns(coeffs, rhs, kept)
+        assert pts.tobytes() == want.tobytes() and idx.tobytes() == want_idx.tobytes()
+        x, y = all_pts[~np.isin(all_idx, kept)].T
+        assert x.size > 0
+        assert np.all(y < np.interp(x, inner[1], inner[2])) and np.all(x < inner[0])
+        # some polytope below the interpolant is kept: it reaches into the notch
+        below = [k for k in kept if np.all(all_pts[all_idx == k, 1]
+                                           < np.interp(all_pts[all_idx == k, 0], *inner[1:]) - 1e-9)]
+        assert below
+
+    def test_one_knot_chain(self):
+        # the chain is the box R1 <= 1.5, R2 <= 1.0: the knot is not at r1_max
+        coeffs = np.array(FAMILIES)
+        inner = (1.5, np.array([0.5]), np.array([1.0]))
+        a = np.array([1.4, 1.5, 1.4, 0.2])
+        b = np.array([0.9, 0.9, 1.0, 0.3])
+        rhs = np.vstack([a, b, np.full((3, a.size), 10.0)])
+        _, idx = vertices_outside(coeffs, rhs, inner)
+        assert np.unique(idx).tolist() == [1, 2]
+
+    def test_polytope_with_a_redundant_sum_cap(self):
+        # the raw sum caps are far above R1 + R2, so only the dual term
+        # pairing R1 and R2 bounds the sum; the square [0, 1]^2 lies inside
+        # the chain and is left out before any tightening, and the square
+        # [0, 1.5]^2, whose corner is a knot, is kept
+        coeffs = np.array(FAMILIES)
+        knots = np.array([[0.0, 2.0], [1.5, 1.5], [2.0, 0.0]])
+        inner = region_from_points(knots).boundary
+        rhs = np.array([[1.0, 1.0, 100.0, 100.0, 100.0], [1.5, 1.5, 100.0, 100.0, 100.0]]).T
+        pts, idx, tightened = outside_and_tightened(coeffs, rhs, inner)
+        assert tightened == [[1]]
+        assert set(idx.tolist()) == {1}
+        assert {tuple(v) for v in pts} == {(0.0, 0.0), (1.5, 0.0), (1.5, 1.5), (0.0, 1.5)}
+
+    def test_infinite_nan_and_slightly_negative_caps(self):
+        # columns deep inside the chain but for one cap: +inf and [-tol, 0)
+        # keep their polytopes, a NaN empties it; the others are left out
+        coeffs = np.array(FAMILIES)
+        inner = region_from_points(np.array([[0.0, 2.0], [2.0, 0.0]])).boundary
+        rhs = np.full((5, 6), 0.5)
+        rhs[4, 1] = np.inf
+        rhs[0, 2] = np.nan
+        rhs[1, 3] = -0.5 * FEASIBILITY_TOL
+        rhs[:, 4] = np.inf
+        rhs[2, 5] = np.inf  # the sum is still bounded by R1 + R2
+        pts, idx = vertices_outside(coeffs, rhs, inner)
+        assert np.unique(idx).tolist() == [1, 3, 4, 5]
+        want, want_idx = batch_columns(coeffs, rhs, [1, 3, 4, 5])
+        assert pts.tobytes() == want.tobytes() and idx.tobytes() == want_idx.tobytes()
+
+    def test_dual_bounds_drop_no_polytope_the_tightened_test_keeps(self):
+        # on the inner sweep's caps, the test on dual bounds from the raw caps
+        # leaves out a subset of what the test on exact support values leaves
+        # out, and that a subset of what a test of the walk's corners below
+        # the interpolant leaves out; vertices_outside walks what the test
+        # on support values keeps
+        coeffs, grid = achievability.FAMILY_COEFFS, achievability.DEFAULT_GRID
+        for p in random_channels(200, 20260401):
+            grid_caps = achievability.family_caps(p, *achievability.parameter_grids(p, grid))
+            chain = achievability._fan_chain(achievability._coarse_cloud(
+                grid_caps, achievability.single_user_anchors(p)))
+            caps = grid_caps.reshape(5, -1)
+            walk, live, c = geometry._live_caps(coeffs, caps)
+            finite = np.all(np.isfinite(c) & (c >= 0.0), axis=0)
+            facets = geometry._chain_facets(walk, chain)
+            rows = {k for terms, _ in facets for k, _ in terms}
+            dual = finite & geometry._below(facets, geometry._pair_bounds(walk, c, rows), live.size)
+            t = geometry._tighten(walk, live, c, geometry._batch_eps(c))
+            support = dict(zip((k for k, _ in walk.duals), t.support))
+            tight = finite & geometry._below(facets, support, live.size)
+            pts, idx = geometry._emit(t)
+            r1_max, knot_r1, knot_r2 = chain
+            margin = 1e-9 * max(1.0, np.abs(knot_r1).max(), np.abs(knot_r2).max())
+            below = ((pts[:, 0] < r1_max - margin)
+                     & (pts[:, 1] < np.interp(pts[:, 0], knot_r1, knot_r2) - margin))
+            corner = finite.copy()
+            corner[np.searchsorted(live, idx[~below])] = False
+            assert not np.any(dual & ~tight) and not np.any(tight & ~corner), p
+            assert np.array_equal(np.unique(vertices_outside(coeffs, caps, chain)[1]), live[~tight])
 
 class TestPolytopeVertices:
     def test_unit_square(self):
