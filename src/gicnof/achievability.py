@@ -39,8 +39,9 @@ supports bounded from the raw caps by the LP-dual terms that pair two
 families, over the whole grid; then, for the few polytopes left, with their
 exact supports once tightened.  A dropped polytope lies strictly inside the
 region's downward closure: none of its points is a hull vertex, the
-farthest point of a quickhull step, or the largest R1 or R2.  The region is
-bit for bit the one the unpruned sweep gives.
+farthest point of a quickhull step, or the largest R1 or R2.  The vertices
+of the polytopes left go to the hull with no dominance prefilter, and the
+region is bit for bit the one the unpruned sweep gives.
 """
 
 from __future__ import annotations
@@ -202,10 +203,15 @@ def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
     (5,) + their broadcast shape in FAMILY_COEFFS order, the same layout as
     converse.family_caps.
     """
-    groups = bound_rhs_arrays(p, rho, mu1, mu2)
     shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
-    caps = np.empty((5,) + shape)
-    for k, (first, *rest) in enumerate(groups.values()):
+    return _least_of_each(bound_rhs_arrays(p, rho, mu1, mu2).values(), shape)
+
+
+def _least_of_each(families, shape: tuple) -> np.ndarray:
+    """The elementwise minimum over the members of each family, each member
+    broadcast to shape: an array of shape (len(families),) + shape."""
+    caps = np.empty((len(families),) + shape)
+    for k, (first, *rest) in enumerate(families):
         out = caps[k, ...]  # a view even when shape is (), where caps[k] is a scalar
         out[...] = first
         for v in rest:
@@ -306,13 +312,23 @@ def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     the region, and so does the chain of their extreme points in a fan of
     directions (_fan_chain).  The polytopes strictly inside that chain can
     hold no hull vertex (geometry.vertices_outside), so only the others are
-    walked; their vertices and the corners then pass the dominance
-    prefilter.  The hull is the one the unpruned sweep gives.
+    walked.  Their vertices and the corners are the cloud, in walk order,
+    since a hull depends on the set of its points alone
+    (geometry.convex_hulls); only a cloud with a coordinate below zero still
+    passes the dominance prefilter.  The hull is the one the unpruned sweep
+    gives.
     """
     anchors = single_user_anchors(p)
     chain = _fan_chain(_coarse_cloud(caps, anchors))
     pts, _ = vertices_outside(FAMILY_COEFFS, caps.reshape(5, -1), chain)
-    return discard_strictly_dominated(np.vstack([pts, anchors]))  # safe hull prefilter
+    pts = np.vstack([pts, anchors])
+    # a strictly dominated point v >= 0 lies in the box between the origin
+    # and its dominator, inside the hull of the anchored cloud (the origin
+    # and the axis projections of the extremes), so it is no hull vertex and
+    # the prefilter changes nothing; a point with a coordinate below zero,
+    # from a cap in [-FEASIBILITY_TOL, 0), can be one, and there the
+    # prefilter drops it as the unpruned sweep does
+    return discard_strictly_dominated(pts) if np.any(pts < 0.0) else pts
 
 
 def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: int) -> Region:

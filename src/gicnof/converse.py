@@ -38,7 +38,7 @@ from .geometry import (
     batch_vertices,
     envelope_union,
 )
-from .achievability import FAMILY_COEFFS, _other, b_basic
+from .achievability import FAMILY_COEFFS, _least_of_each, _other, b_basic
 
 DEFAULT_GRID = GridSpec(rho_points=65, mu_points=17)
 
@@ -185,7 +185,11 @@ def _half(p, j, b1_form, rho):
     mix = _b5(p, 1, rho) * p.inr_21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
     if b1_form:
         b1_j, _ = b_basic(p, j, rho)
-        return 0.5 * np.log2(b1_j + mix) + 0.5 * np.log2(_fb_gain(p, j, rho))
+        # b1_j and mix both vanish where user j has neither forward SNR nor
+        # INR at its receiver; log2(0) = -inf is then set, not computed
+        arg = np.asarray(b1_j + mix)
+        log = np.log2(arg, out=np.full(arg.shape, -np.inf), where=arg != 0.0)
+        return 0.5 * log + 0.5 * np.log2(_fb_gain(p, j, rho))
     b6_j = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
     snr_j = p.snr_fwd(j)
     return (
@@ -211,10 +215,9 @@ def _k7(p, i, half_j, rho):
 
 def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
     """The eleven converse caps at rho, grouped by family in FAMILY_COEFFS order."""
-    with np.errstate(divide="ignore"):
-        h1 = _half(p, 1, _b1_form(ev, 1), rho)
-        h2 = _half(p, 2, _b1_form(ev, 2), rho)
-        k7 = (_k7(p, 1, h2, rho), _k7(p, 2, h1, rho))
+    h1 = _half(p, 1, _b1_form(ev, 1), rho)
+    h2 = _half(p, 2, _b1_form(ev, 2), rho)
+    k7 = (_k7(p, 1, h2, rho), _k7(p, 2, h1, rho))
     k6 = h1 + h2 - 0.5 * math.log2(1.0 + p.inr_12) - 0.5 * math.log2(1.0 + p.inr_21) + LOG2_2PIE
     return (
         (_k1(p, 1, rho), _k2(p, 1, rho), _k3(p, 1, rho)),
@@ -266,14 +269,7 @@ def family_caps(p: ChannelParameters, rho, ev: EventPair | None = None) -> np.nd
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order.
     """
     rho = np.asarray(rho, float)
-    families = _caps_by_family(p, rho, ev or classify_events(p))
-    caps = np.empty((5,) + rho.shape)
-    for k, (first, *rest) in enumerate(families):
-        out = caps[k, ...]  # a view even when rho is 0-d, where caps[k] is a scalar
-        out[...] = first
-        for v in rest:
-            np.minimum(out, v, out=out)
-    return caps
+    return _least_of_each(_caps_by_family(p, rho, ev or classify_events(p)), rho.shape)
 
 
 def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Region:

@@ -34,17 +34,16 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   pass bounds those supports from the raw caps by the LP-dual terms that
   pair two constraint rows: O(n (pairs + q)) time, no corner and no
   tightening.  Only the polytopes it keeps are tightened and tested again
-  on their exact supports, and the k candidates below come from w
+  on their exact supports, and the k candidate vertices come from w
   polytopes, not from n;
-- discard_strictly_dominated cuts its k candidates with an O(k) bucketed
-  staircase and sorts only the survivors s: O(k + s log s);
-- convex_hulls is a quickhull on the survivors with no sort of its input,
-  run level-synchronously: each depth of the recursion is one vectorized
-  pass of O(s) over the pending edges of every cloud of a batch, 9 passes
-  for a 67-vertex hull of the inner sweep instead of one Python step per
-  hull edge; regions_from_points builds the hulls of a batch of clouds (a
-  sweep row) in one call, and convex_hull and region_from_points are its
-  one-cloud cases;
+- convex_hulls is a quickhull on the k candidates with no sort of its
+  input, run level-synchronously: each depth of the recursion is one
+  vectorized pass of O(k) over the pending edges of every cloud of a batch,
+  9 passes for a 67-vertex hull of the inner sweep instead of one Python
+  step per hull edge; regions_from_points builds the hulls of a batch of
+  clouds (a sweep row) in one call, and convex_hull and region_from_points
+  are its one-cloud cases.  discard_strictly_dominated, one O(k log k)
+  sort, runs only on inner clouds with a coordinate below zero;
 - deflation_gap is one pass of c candidates over the facets of D, one per
   edge of the inner Pareto chain plus two: O(c h), and a scalar bisection.
 
@@ -215,10 +214,10 @@ def _quickhull_levels(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray
     tolerance eps and a label owner.  Edges k and k + K (K = a.size // 2)
     share the candidates members[group == k], ascending; of those, each
     edge keeps the ones more than its eps beyond it (_split).  The farthest
-    beyond an edge a -> b, the smallest index among ties, becomes a vertex
-    f, and the kept candidates are shared by the new edges a -> f and
-    f -> b.  Each depth of the recursion is one vectorized pass over every
-    pending edge.  Returns (owner, index) of every vertex found.
+    beyond an edge a -> b, the lexicographically smallest of exact ties,
+    becomes a vertex f, and the kept candidates are shared by the new edges
+    a -> f and f -> b.  Each depth of the recursion is one vectorized pass
+    over every pending edge.  Returns (owner, index) of every vertex found.
 
     A candidate more than eps beyond a -> f is never more than eps beyond
     f -> b, so _split gives it to the first edge alone, and every edge keeps
@@ -240,7 +239,9 @@ def _quickhull_levels(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray
         starts, group = np.flatnonzero(new), np.cumsum(new) - 1
         live = edge[starts]
         hits = np.flatnonzero(dist == np.maximum.reduceat(dist, starts)[group])
-        f = members[hits[np.searchsorted(hits, starts)]]
+        tied = members[hits]  # of exact ties, each edge takes the lex-smallest
+        hits = hits[np.lexsort((y[tied], x[tied], group[hits]))]
+        f = members[hits[np.searchsorted(group[hits], np.arange(starts.size))]]
         found_owner.append(owner[live])
         found.append(f)
         a, b = np.concatenate([a[live], f]), np.concatenate([f, b[live]])
@@ -284,11 +285,12 @@ def convex_hulls(clouds: Iterable) -> list[np.ndarray]:
 
     A hull depends only on the set of its cloud's points, never on their
     order or multiplicity, nor on the other clouds: distances decide every
-    choice, and of points tied exactly in distance, which lie on one edge,
-    whichever is chosen first the others follow and the last pass drops the
-    ones inside that edge.  Each hull starts at its lexicographically
-    smallest vertex.  Degenerate input yields no points, the single distinct
-    point, or, when all points are collinear, the two extremes.
+    choice, and of points tied exactly in distance beyond an edge the
+    lexicographically smallest is taken.  Points a few ulps apart can tie
+    so, and which of them is a vertex then depends on that rule alone.
+    Each hull starts at its lexicographically smallest vertex.  Degenerate
+    input yields no points, the single distinct point, or, when all points
+    are collinear, the two extremes.
 
     Cost: each depth of the recursion is one vectorized pass over the
     pending edges of every cloud (_quickhull_levels), O(n) per depth for n
@@ -707,26 +709,6 @@ def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:
 # frontiers and regions
 # ---------------------------------------------------------------------------
 
-def _staircase_precut(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the points that survive an O(n) bucketed dominance test.
-
-    x is cut into buckets at least 2 * tol wide, and a point is cut when some
-    point two or more buckets to its right, hence more than tol to its right,
-    beats it by more than tol in R2.  Every cut point is one the exact pass
-    would drop, and no cut point is the best right neighbour of a survivor,
-    so the exact pass returns the same points with or without the cut.
-    """
-    span = float(x.max() - x.min())
-    buckets = int(min(x.size, span / (2.0 * tol)))
-    if buckets < 3:
-        return np.ones(x.size, bool)  # narrower than three buckets: nothing to compare
-    b = np.minimum(((x - x.min()) * (buckets / span)).astype(np.intp), buckets - 1)
-    top = np.full(buckets + 2, -np.inf)
-    np.maximum.at(top, b, y)
-    right = np.maximum.accumulate(top[::-1])[::-1]  # best R2 in this bucket or beyond
-    return y >= right[b + 2] - tol
-
-
 def discard_strictly_dominated(points: np.ndarray) -> np.ndarray:
     """Drop points that another point beats by a clear margin in both coordinates.
 
@@ -734,16 +716,13 @@ def discard_strictly_dominated(points: np.ndarray) -> np.ndarray:
     point can maximize no linear functional that any hull vertex of the cloud
     plus the origin must maximize, so no hull vertex is ever discarded.  The
     margin is scale-relative so that coordinates equal up to rounding noise
-    count as ties, which are always kept.
-
-    Cost: an O(n) bucketed staircase cut (_staircase_precut) removes most
-    dominated points, and the exact pass sorts only the survivors.
+    count as ties, which are always kept.  The survivors come out in
+    lexicographic order.  Cost: one sort, O(n log n).
     """
     pts = np.asarray(points, float).reshape(-1, 2)
     if pts.shape[0] <= 2:
         return pts
     tol = 1e-9 * max(1.0, float(np.abs(pts).max()))
-    pts = pts[_staircase_precut(pts[:, 0], pts[:, 1], tol)]
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     p = pts[order]
     x, y = p[:, 0], p[:, 1]
@@ -761,17 +740,20 @@ def pareto_vertices(points: np.ndarray) -> np.ndarray:
     Coordinates within the hull tolerance (HULL_EPS, scale-relative) of each
     other count as equal.  So of two points a few ulps apart in R1 on a
     vertical edge only the higher is kept, and a frontier sampled up to the
-    largest R1 does not fall to the lower of the two at its last sample.
+    largest R1 does not fall to the lower of the two at its last sample; of
+    twins equal within it in both coordinates, and of repeated points, only
+    the lexicographically largest is kept.
     """
     pts = np.asarray(points, float).reshape(-1, 2)
     if pts.shape[0] == 0:
         return pts
+    pts = _lex_order(pts)
     eps = _hull_eps(pts)
     x, y = pts[:, 0], pts[:, 1]
     no_worse = (x[None, :] >= x[:, None] - eps) & (y[None, :] >= y[:, None] - eps)
     better = (x[None, :] > x[:, None] + eps) | (y[None, :] > y[:, None] + eps)
-    chain = pts[~np.any(no_worse & better, axis=1)]
-    return chain[np.argsort(chain[:, 0], kind="stable")]
+    later = np.arange(x.size)[None, :] > np.arange(x.size)[:, None]  # lexicographically larger
+    return pts[~np.any(no_worse & (better | later), axis=1)]
 
 
 def _anchored(points) -> np.ndarray:

@@ -328,28 +328,28 @@ def assert_matches_unpruned(p, grid, caps=None):
 
 def probe_sweep(p, grid):
     """The region of p at grid, the number of polytopes its sweep walks, and
-    the number of prefilter survivors.
+    the number of points its hull is given.
 
     The walk runs twice per region, for the coarse chain and then for the
     polytopes the prune keeps; the second count is the one returned.
     """
-    walked, survivors = [], []
-    emit, prefilter = geometry._emit, ach.discard_strictly_dominated
+    walked, cloud_sizes = [], []
+    emit, inner_cloud = geometry._emit, ach.inner_cloud
 
     def emit_spy(t, cols=slice(None)):
         walked.append(t.live[cols].size)
         return emit(t, cols)
 
-    def prefilter_spy(pts):
-        out = prefilter(pts)
-        survivors.append(len(out))
+    def inner_cloud_spy(p, caps):
+        out = inner_cloud(p, caps)
+        cloud_sizes.append(len(out))
         return out
 
     with mock.patch.object(geometry, "_emit", emit_spy), \
-            mock.patch.object(ach, "discard_strictly_dominated", prefilter_spy):
+            mock.patch.object(ach, "inner_cloud", inner_cloud_spy):
         region = achievable_region(p, grid)
-    assert len(walked) == 2 and len(survivors) == 1
-    return region, walked[1], survivors[0]
+    assert len(walked) == 2 and len(cloud_sizes) == 1
+    return region, walked[1], cloud_sizes[0]
 
 
 DOUBLED = GridSpec(65, 33, 1024)
@@ -409,11 +409,12 @@ class TestPrunedSweep:
     def test_flat_staircase_regression(self):
         # at doubled grids this channel's unpruned sweep keeps 48,063
         # prefilter survivors, a flat stretch of the staircase the margin of
-        # the prefilter cannot cut; the prune leaves a few dozen polytopes
+        # the prefilter cannot cut; the prune leaves a few dozen polytopes,
+        # and their vertices reach the hull unfiltered
         p = random_channels(6, 20260401)[2]
-        _, walked, survivors = probe_sweep(p, DOUBLED)
+        _, walked, cloud_size = probe_sweep(p, DOUBLED)
         assert walked <= 0.01 * 65 * 33 * 33
-        assert survivors <= 300
+        assert cloud_size <= 300
         assert_matches_unpruned(p, DOUBLED)
 
     def test_narrow_normal_cone_vertex_is_a_knot(self):
@@ -450,7 +451,11 @@ class TestFanChain:
     """The pre-region of the prune: extreme points of the coarse cloud in a fan."""
 
     def test_knots_ascend_and_lie_inside_the_coarse_hull(self, p_star):
-        for p in [p_star] + random_channels(30, 20260407):
+        # the last channel's coarse cloud holds two points equal within the
+        # hull tolerance, which were both knots
+        twins = ChannelParameters(18.386160475109637, 6.177495334424844, 711828.8433716872,
+                                  64.5478711466986, 18557.453726792202, 35.30259433233043)
+        for p in [p_star] + random_channels(30, 20260407) + [twins]:
             caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
             cloud = ach._coarse_cloud(caps, ach.single_user_anchors(p))
             r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)

@@ -227,6 +227,24 @@ class TestConversePolytope:
             want = oracle.outer_bound_rhs(ch, float(rho))
             assert caps[:, k] == pytest.approx([min(want[f]) for f in FAMILIES], rel=1e-12)
 
+    @pytest.mark.parametrize("p, want", [
+        (ChannelParameters(0.0, 10.0, 0.0, 5.0, 1.0, 1.0),
+         [[0.0, 0.0, 0.0], [1.7297158093186487, 1.5437314206251698, 0.0],
+          [-np.inf] * 3, [10.252537753534046, 10.50500905768681, 10.620899691329857],
+          [-np.inf] * 3]),
+        (ChannelParameters(10.0, 0.0, 3.0, 0.0, 1.0, 0.0),
+         [[1.7297158093186487, 1.5437314206251698, 0.0], [0.0, 0.0, 0.0],
+          [-np.inf] * 3, [-np.inf] * 3,
+          [10.120492622951993, 10.354493236058884, 10.479493267410366]]),
+    ])
+    def test_zero_snr_and_inr_at_a_receiver(self, p, want):
+        # user 1 (then 2) has neither forward SNR nor INR at its receiver, so
+        # its half of the sum and weighted caps takes log2(0) = -inf, with no
+        # floating-point warning; the caps are pinned to their earlier values
+        with np.errstate(all="raise"):
+            caps = conv.family_caps(p, np.linspace(0.0, 1.0, 3))
+        assert caps.tolist() == want
+
 
 class TestConverseRegion:
     def test_envelope_dominates_every_slice(self, p_star):

@@ -274,13 +274,14 @@ class TestVerticesOutside:
 
     def test_knots_tied_up_to_rounding(self):
         # the second knot is the first moved up and right by less than the
-        # hull tolerance, as a Pareto chain can hold them; the pair gives no
-        # facet, and the polytopes under the top of the chain near the R2
-        # axis are left out.  The line through the pair would cut them.
+        # hull tolerance, as a chain given by hand can hold them (a Pareto
+        # chain keeps only the second); the pair gives no facet, and the
+        # polytopes under the top of the chain near the R2 axis are left
+        # out.  The line through the pair would cut them.
         coeffs = np.array(FAMILIES)
         x0, y0 = 0.09604826, 2.89749254
         inner = (2.0, np.array([x0, x0 + 2e-14, 2.0]), np.array([y0, y0 + 1e-14, 0.0]))
-        assert pareto_vertices(np.column_stack(inner[1:])).shape == (3, 2)
+        assert pareto_vertices(np.column_stack(inner[1:])).shape == (2, 2)
         a = np.linspace(0.001, 0.09, 50)
         rhs = np.vstack([a, np.full(a.size, 2.89), np.full((3, a.size), 10.0)])
         pts, idx = vertices_outside(coeffs, rhs, inner)
@@ -497,8 +498,17 @@ class TestConvexHull:
 
     def test_independent_of_input_order(self):
         rng = np.random.default_rng(31)
+        # the inner sweep's pruned cloud of this channel, in walk order, holds
+        # two ulp twins of a vertex tied exactly in distance beyond an edge
+        p = random_channels(200, 20260401)[117]
+        caps = achievability.family_caps(p, *achievability.parameter_grids(
+            p, achievability.DEFAULT_GRID))
+        anchors = achievability.single_user_anchors(p)
+        chain = achievability._fan_chain(achievability._coarse_cloud(caps, anchors))
+        walked, _ = vertices_outside(achievability.FAMILY_COEFFS, caps.reshape(5, -1), chain)
         clouds = [TWIN_CLOUD, rng.normal(size=(300, 2)),
-                  np.round(rng.uniform(size=(300, 2)), 2)]  # many exact ties
+                  np.round(rng.uniform(size=(300, 2)), 2),  # many exact ties
+                  geometry._anchored(np.vstack([walked, anchors]))]
         for pts in clouds:
             hull = convex_hull(pts)
             for _ in range(5):
@@ -522,8 +532,8 @@ def _outside(pts, a, b):
 def _chain_between(pts, a, b, eps):
     """Indices of the hull vertices right of a -> b, by recursive farthest points:
     only points more than eps beyond an edge are candidates for it, the
-    farthest one (the first of ties) becomes a vertex, and both new edges
-    get every candidate."""
+    farthest one (the lexicographically smallest of exact ties) becomes a
+    vertex, and both new edges get every candidate."""
     found = []
     stack = [(a, b, np.arange(len(pts)))]
     while stack:
@@ -533,7 +543,8 @@ def _chain_between(pts, a, b, eps):
         if not beyond.any():
             continue
         idx, dist = idx[beyond], dist[beyond]
-        f = int(idx[np.argmax(dist)])
+        tied = idx[dist == dist.max()]
+        f = int(tied[np.lexsort((pts[tied, 1], pts[tied, 0]))[0]])
         found.append(f)
         stack += [(a, f, idx), (f, b, idx)]
     return found
@@ -575,7 +586,7 @@ def reference_clouds():
             ulps = rng.integers(-3, 4, size=twins.shape)
             pts = np.vstack([base, twins + ulps * np.spacing(twins)])
         else:
-            # a staircase hugging a concave frontier, like the inner sweep's survivors
+            # a staircase hugging a concave frontier, like the inner sweep's clouds
             x = np.sort(rng.uniform(0.0, 4.0, n))
             pts = np.column_stack([x, np.sqrt(16.0 - x ** 2) - rng.exponential(1e-3, n)])
             pts = np.vstack([pts, [[0.0, 0.0], [x.max(), 0.0], [0.0, pts[:, 1].max()]]])
@@ -662,8 +673,7 @@ class TestDominanceFilter:
             np.abs(rng.normal(size=(2000, 2))),
             staircase,
             np.column_stack([rng.uniform(0, 1, 500), 1 - rng.uniform(0, 1, 500) ** 2]),
-            # narrower in R1 than one bucket of twice the margin, then a few
-            # buckets wide, where bucket edges sit near the margin
+            # narrower in R1 than twice the margin, then a few margins wide
             np.column_stack([1.0 + rng.uniform(0, 1.5e-9, 300), rng.uniform(0, 1, 300)]),
             np.column_stack([1.0 + rng.uniform(0, 9e-9, 300), rng.uniform(0, 1e-8, 300)]),
             np.column_stack([np.full(50, 0.7), rng.uniform(0, 1, 50)]),
