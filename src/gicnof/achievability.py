@@ -261,7 +261,7 @@ def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Reg
     """
     grid = grid or DEFAULT_GRID
     caps = family_caps(p, *parameter_grids(p, grid))
-    return region_from_caps(p, caps, grid.frontier_samples)
+    return region_from_points(inner_cloud(p, caps), grid.frontier_samples)
 
 
 COARSE_STRIDE = 8  # the coarse cloud's sub-grid: every 8th rho and mu index
@@ -329,13 +329,3 @@ def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     # from a cap in [-FEASIBILITY_TOL, 0), can be one, and there the
     # prefilter drops it as the unpruned sweep does
     return discard_strictly_dominated(pts) if np.any(pts < 0.0) else pts
-
-
-def region_from_caps(p: ChannelParameters, caps: np.ndarray, frontier_samples: int) -> Region:
-    """achievable_region from family caps already swept, of shape
-    (5, n_rho, n_mu, n_mu).
-
-    For callers that also need the caps themselves, such as gap.exact_gap,
-    which evaluates them once for both the region and the analytic bound.
-    """
-    return region_from_points(inner_cloud(p, caps), frontier_samples)

@@ -112,9 +112,8 @@ def _b6(p: ChannelParameters, i: int, rho):
 
 
 def b_conv(p: ChannelParameters, i: int, rho):
-    """Converse building blocks (b3, b4, b5, b6) for user i."""
-    if p.snr_fwd(i) <= 0.0:
-        raise DegenerateChannelError(f"converse blocks need snr_fwd_{i} > 0")
+    """Converse building blocks (b3, b4, b5, b6) for user i; b6 raises
+    DegenerateChannelError for a zero forward SNR."""
     return _b3(p, i), _b4(p, i, rho), _b5(p, i, rho), _b6(p, i, rho)
 
 
@@ -157,12 +156,9 @@ def _fb_gain(p, i, rho):
 
 def _cross_feedback(p, i, rho):
     # recurring factor: 1 + (b5_i / snr_i)(inr_ji + b3_i * snr_bwd_i / (b1_i(1) + 1))
-    snr = p.snr_fwd(i)
-    if snr <= 0.0:
-        raise DegenerateChannelError(f"converse cap needs snr_fwd_{i} > 0")
     b1_full, _ = b_basic(p, i, 1.0)
     inner = p.inr(_other(i)) + _b3(p, i) * p.snr_bwd(i) / (b1_full + 1.0)
-    return 1.0 + (_b5(p, i, rho) / snr) * inner
+    return 1.0 + (_b5(p, i, rho) / p.snr_fwd(i)) * inner
 
 
 def _b1_form(ev: EventPair, j: int) -> bool:
@@ -263,13 +259,13 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
     )
 
 
-def family_caps(p: ChannelParameters, rho, ev: EventPair | None = None) -> np.ndarray:
+def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     """Binding converse cap per bound family; rho may be an array.
 
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order.
     """
     rho = np.asarray(rho, float)
-    return _least_of_each(_caps_by_family(p, rho, ev or classify_events(p)), rho.shape)
+    return _least_of_each(_caps_by_family(p, rho, classify_events(p)), rho.shape)
 
 
 def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Region:

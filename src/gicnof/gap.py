@@ -22,7 +22,7 @@ import numpy as np
 from . import achievability, converse
 from .channel import ChannelParameters, SymmetricPoint, symmetric_params
 from .errors import DegenerateChannelError
-from .geometry import GridSpec, Region, deflation_gap, regions_from_points
+from .geometry import GridSpec, Region, deflation_gap, region_from_points, regions_from_points
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,10 @@ def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.nda
     """The bound and its delta components from the inner family caps.
 
     inner is achievability.family_caps on the parameter grid, shape
-    (5, n_rho, n_mu, n_mu); rho is that grid's correlation axis.
+    (5, n_rho, n_mu, n_mu); rho is that grid's correlation axis, of any
+    shape with n_rho entries.
     """
-    outer = converse.family_caps(p, rho)  # (5, n_rho)
+    outer = converse.family_caps(p, np.ravel(rho))  # (5, n_rho)
     deltas = outer[:, :, None, None] - inner
     shape = deltas.shape[1:]
 
@@ -95,15 +96,10 @@ def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.nda
     return float(per_rho[i_rho]), components
 
 
-def _inner_caps(p: ChannelParameters, grid: GridSpec):
-    """The correlation axis and the inner family caps over the parameter grid."""
-    axes = achievability.parameter_grids(p, grid)
-    return axes[0].ravel(), achievability.family_caps(p, *axes)
-
-
 def analytic_gap_bound(p: ChannelParameters, grid: GridSpec | None = None) -> float:
     """Worst-over-correlation, best-over-splits normalized slack bound."""
-    bound, _ = _analytic_bound_details(p, *_inner_caps(p, grid or achievability.DEFAULT_GRID))
+    axes = achievability.parameter_grids(p, grid or achievability.DEFAULT_GRID)
+    bound, _ = _analytic_bound_details(p, axes[0], achievability.family_caps(p, *axes))
     return bound
 
 
@@ -120,11 +116,12 @@ def exact_gap(
     both the inner region and the analytic bound.
     """
     grid = grid or achievability.DEFAULT_GRID
-    rho, caps = _inner_caps(p, grid)
-    inner = achievability.region_from_caps(p, caps, grid.frontier_samples)
+    axes = achievability.parameter_grids(p, grid)
+    caps = achievability.family_caps(p, *axes)
+    inner = region_from_points(achievability.inner_cloud(p, caps), grid.frontier_samples)
     outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
     result = deflation_gap(inner, outer)
-    bound, components = _analytic_bound_details(p, rho, caps)
+    bound, components = _analytic_bound_details(p, axes[0], caps)
     return GapReport(
         exact_gap=result.gap,
         analytic_bound=bound,

@@ -23,19 +23,20 @@ Cost model of a convex region built from n polytopes sharing m constraint
 directions (the inner region: m = 5, n = rho x mu x mu grid points):
 
 - batch_vertices tightens every cap to its support value by 2-D LP duality
-  and walks the directions in slope order, a fixed number of passes over
-  arrays of length n: O(n (pairs + m)) time, O(n m) memory;
+  into one table, a row per direction and a column per polytope, and walks
+  the directions in slope order, a fixed number of passes over rows of
+  length n: O(n (pairs + m)) time, O(n m) memory;
 - vertices_outside walks only the w polytopes that are not strictly inside
   an inner chain with q knots (for the inner sweep, the extreme points of
   a coarse sub-grid's vertices in a fan of directions), and tests them in
   support space: each facet normal n >= 0 of the chain's downward closure
   is a nonnegative mix of two slope-adjacent directions, so a polytope's
   support in n is at most the same mix of its supports in them.  A first
-  pass bounds those supports from the raw caps by the LP-dual terms that
-  pair two constraint rows: O(n (pairs + q)) time, no corner and no
-  tightening.  Only the polytopes it keeps are tightened and tested again
-  on their exact supports, and the k candidate vertices come from w
-  polytopes, not from n;
+  pass bounds those supports, by the same rows as the table, from the raw
+  caps by the LP-dual terms that pair two constraint rows: O(n (pairs + q))
+  time, no corner and no tightening.  Only the polytopes it keeps are
+  tightened and tested again on their table, and the k candidate vertices
+  come from w polytopes, not from n;
 - convex_hulls is a quickhull on the k candidates with no sort of its
   input, run level-synchronously: each depth of the recursion is one
   vectorized pass of O(k) over the pending edges of every cloud of a batch,
@@ -419,30 +420,6 @@ def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
     return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(steps))
 
 
-@dataclass(frozen=True)
-class _Tightened:
-    """The nonempty polytopes of a batch, their caps tightened, ready to walk.
-
-    live     the columns of rhs that are nonempty polytopes
-    support  (walked rows, live.size) the support values of the walked rows,
-             in walk.duals order
-    single   (walked rows, live.size) whether that row's line touches the
-             polytope at a single vertex
-    """
-
-    walk: _VertexWalk
-    live: np.ndarray
-    support: np.ndarray
-    single: np.ndarray
-
-    def lines(self, cols=slice(None)) -> dict:
-        """The support value of every row of walk.dirs, axes included, for
-        the live columns cols."""
-        m = len(self.walk.dirs) - 2
-        h = self.support[:, cols]
-        return {m: 0.0, m + 1: 0.0, **{k: h[r] for r, (k, _) in enumerate(self.walk.duals)}}
-
-
 def _live_caps(coeffs: np.ndarray, rhs: np.ndarray):
     """The walk of coeffs, the nonempty columns live of rhs and their caps,
     each parallel row's cap folded into its walked row's."""
@@ -468,26 +445,42 @@ def _batch_eps(caps: np.ndarray) -> float:
     return HULL_EPS * top
 
 
-def _tighten(walk: _VertexWalk, live: np.ndarray, caps: np.ndarray, eps: float) -> _Tightened:
-    """The LP-duality step of batch_vertices for the columns live, of caps
-    caps (one column each), with the batch tolerance eps."""
-    tight = np.empty((len(walk.duals), live.size))
-    single = np.empty(tight.shape, bool)  # rows whose line touches at one vertex
-    best, term, part = np.empty((3, live.size))
-    for r, (k, terms) in enumerate(walk.duals):
-        best.fill(np.inf)
-        for i, lam_i, j, lam_j in terms:
-            np.multiply(caps[i], lam_i, out=term)
-            if j is not None:
-                term += np.multiply(caps[j], lam_j, out=part)
-            np.minimum(best, term, out=best)
-        np.less_equal(best, np.add(caps[k], eps, out=term), out=single[r])
-        np.minimum(caps[k], best, out=tight[r])
-    return _Tightened(walk, live, tight, single)
+def _least_dual(caps: np.ndarray, terms, out: np.ndarray, term: np.ndarray,
+                part: np.ndarray) -> np.ndarray:
+    """out, lowered in place to the least LP-dual term of a row over terms
+    (i, lam_i, j, lam_j) of walk.duals: lam_i caps[i] + lam_j caps[j], or
+    lam_i caps[i] when j is None.  term and part are scratch rows."""
+    for i, lam_i, j, lam_j in terms:  # multiplying by 1 changes nothing
+        t = caps[i] if lam_i == 1.0 else np.multiply(caps[i], lam_i, out=term)
+        if j is not None:
+            t = np.add(t, caps[j] if lam_j == 1.0 else np.multiply(caps[j], lam_j, out=part),
+                       out=term)
+        np.minimum(out, t, out=out)
+    return out
 
 
-def _emit(t: _Tightened, cols=slice(None)):
-    """The vertices the walk emits for the live columns cols, and their polytopes.
+def _tighten(walk: _VertexWalk, caps: np.ndarray, eps: float):
+    """The support table (h, single) of the polytopes of caps, one column
+    each, with the batch tolerance eps; both have one row per row of
+    walk.dirs.  h[k] is the support value in dirs[k], the least of caps[k]
+    and the LP-dual terms of row k, and single[k] whether that row's line
+    touches the polytope at a single vertex: some dual term lies within eps
+    of caps[k] or below it.  The rows that are not walked, the axes and the
+    rows folded into a parallel one, hold 0 and False."""
+    h = np.zeros((len(walk.dirs), caps.shape[1]))
+    single = np.zeros(h.shape, bool)
+    term, part = np.empty((2, caps.shape[1]))
+    for k, terms in walk.duals:
+        h[k] = np.inf
+        _least_dual(caps, terms, h[k], term, part)
+        np.less_equal(h[k], np.add(caps[k], eps, out=term), out=single[k])
+        np.minimum(h[k], caps[k], out=h[k])
+    return h, single
+
+
+def _emit(walk: _VertexWalk, live: np.ndarray, h: np.ndarray, single: np.ndarray):
+    """The vertices the walk emits for the support table (h, single) of the
+    polytopes live (_tighten), and their polytopes.
 
     Each step of the walk meets two slope-adjacent lines.  A row that
     touches at a single vertex leads a step whose corner repeats the one
@@ -495,25 +488,20 @@ def _emit(t: _Tightened, cols=slice(None)):
     infinity (a support value of +inf) meets another, and which is never
     computed.
     """
-    walk, lines = t.walk, t.lines(cols)
-    single = dict(zip((k for k, _ in walk.duals), t.single[:, cols]))
-    live = t.live[cols]
     x = np.empty((len(walk.steps), live.size))
     y = np.empty_like(x)
-    keep = np.ones(x.shape, bool)
-    far = {}  # the lines at infinity of unbounded polytopes, which meet the others there
-    if not np.isfinite(t.support[:, cols]).all():
-        far = {k: ~np.isfinite(h) for k, h in lines.items() if np.ndim(h)}
-        lines = {k: np.where(far[k], 0.0, h) if k in far else h for k, h in lines.items()}
+    keep = ~single[[lead for lead, *_ in walk.steps]]
+    keep[0] = True
+    far = None  # the lines at infinity of unbounded polytopes, which meet the others there
+    if not np.isfinite(h).all():
+        far = ~np.isfinite(h)
+        h = np.where(far, 0.0, h)
     for s, (lead, a, b, det) in enumerate(walk.steps):
         (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
-        x[s] = (lines[a] * b1 - lines[b] * a1) / det
-        y[s] = (a0 * lines[b] - b0 * lines[a]) / det
-        if s > 0 and lead in single:
-            keep[s] = ~single[lead]
-        for k in (a, b):
-            if k in far:
-                keep[s] &= ~far[k]
+        x[s] = (h[a] * b1 - h[b] * a1) / det
+        y[s] = (a0 * h[b] - b0 * h[a]) / det
+        if far is not None:
+            keep[s] &= ~(far[a] | far[b])
     return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
 
 
@@ -528,21 +516,24 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     Method: 2-D LP duality, then a walk.  Every cap is first tightened to
     its support value h_k = max coeffs[k] . v over the polytope.  By LP
     duality h_k is the least of rhs_k and lam_i rhs_i + lam_j rhs_j over the
-    pairs whose cone contains coeffs[k], the axes counting with cap 0.
-    Every tightened line then touches the polytope, so the vertices are the
-    intersections of lines adjacent in the counterclockwise order of their
-    normals.  A line the duality tightens, or meets to within rounding,
-    touches at a single vertex, which both of its neighbours already pass
-    through, so the walk emits that vertex once.  The pair table and the
-    order depend on coeffs alone and are computed once per distinct coeffs;
-    the per-polytope work is a fixed number of array passes, O(pairs + m),
-    with no array of shape (pairs, constraints, polytopes).
+    pairs whose cone contains coeffs[k], the axes counting with cap 0.  The
+    support values and the single-vertex flags form one table, a row per
+    row of the walk's directions (coeffs, then the axes) and a column per
+    nonempty polytope (_tighten).  Every tightened line touches the
+    polytope, so the vertices are the intersections of lines adjacent in
+    the counterclockwise order of their normals (_emit).  A line the
+    duality tightens, or meets to within rounding, touches at a single
+    vertex, which both of its neighbours already pass through, so the walk
+    emits that vertex once.  The pair table and the order depend on coeffs
+    alone and are computed once per distinct coeffs; the per-polytope work
+    is a fixed number of array passes, O(pairs + m), with no array of shape
+    (pairs, constraints, polytopes).
 
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
     """
     walk, live, caps = _live_caps(coeffs, rhs)
-    return _emit(_tighten(walk, live, caps, _batch_eps(caps)))
+    return _emit(walk, live, *_tighten(walk, caps, _batch_eps(caps)))
 
 
 def _closure_facets(boundary: tuple, lift: float = 0.0):
@@ -600,30 +591,25 @@ def _chain_facets(walk: _VertexWalk, inner: tuple) -> list:
     return list(zip(_cone_terms(walk, n1[facet], n2[facet]), limits))
 
 
-def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> dict:
-    """For each walked row k in rows, an upper bound u_k of its support
-    value over every column of caps: the least of caps[k] and its LP-dual
-    terms that pair two constraint rows.  By weak duality any of the terms
-    bounds it; the ones with an axis are left to the tightening."""
+def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> list:
+    """An upper bound u[k] of the support value of each row k of caps, in
+    every column: for a walked row in rows, a new array, the least of
+    caps[k] and its LP-dual terms that pair two constraint rows; for any
+    other row, caps[k] itself.  By weak duality any of the terms bounds it;
+    the ones with an axis are left to the tightening."""
+    u = list(caps)
     term, part = np.empty((2, caps.shape[1]))
-
-    def scaled(k, lam, out):  # lam * caps[k]; multiplying by 1 changes nothing
-        return caps[k] if lam == 1.0 else np.multiply(caps[k], lam, out=out)
-
-    u = {}
     for k, dual in walk.duals:
-        if k in rows:
-            pairs = [(i, lam_i, j, lam_j) for i, lam_i, j, lam_j in dual if j is not None]
-            u[k] = caps[k].copy() if pairs else caps[k]
-            for i, lam_i, j, lam_j in pairs:
-                pair = np.add(scaled(i, lam_i, term), scaled(j, lam_j, part), out=term)
-                np.minimum(u[k], pair, out=u[k])
+        pairs = [t for t in dual if t[2] is not None]
+        if k in rows and pairs:
+            u[k] = _least_dual(caps, pairs, caps[k].copy(), term, part)
     return u
 
 
-def _below(facets: list, u: dict, n: int) -> np.ndarray:
-    """Which of n polytopes lie inside every facet: sum of lam_k u_k over
-    its terms below its limit, u_k an upper bound of the support value."""
+def _below(facets: list, u, n: int) -> np.ndarray:
+    """Which of n polytopes lie inside every facet: sum of lam_k u[k] over
+    its terms below its limit, u[k] an upper bound of the support value in
+    row k of walk.dirs (_pair_bounds, or the table of _tighten)."""
     inside, flag = np.ones((2, n), bool)
     bound, part = np.empty((2, n))
     for ((k, lam), *rest), limit in facets:  # a normal n >= 0 has a row term
@@ -681,13 +667,13 @@ def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
     near[tested] = ~_below(facets, u, tested.size)
     near = np.flatnonzero(near)
     # ... then on the support values of the columns left, once tightened
-    t = _tighten(walk, live[near], caps if near.size == live.size else caps[:, near],
-                 _batch_eps(caps))
+    h, single = _tighten(walk, caps if near.size == live.size else caps[:, near],
+                         _batch_eps(caps))
     walked = np.ones(near.size, bool)
     tested = np.flatnonzero(finite[near])
-    support = dict(zip((k for k, _ in walk.duals), t.support[:, tested]))
-    walked[tested] = ~_below(facets, support, tested.size)
-    return _emit(t, np.flatnonzero(walked))
+    walked[tested] = ~_below(facets, h[:, tested], tested.size)
+    walked = np.flatnonzero(walked)
+    return _emit(walk, live[near[walked]], h[:, walked], single[:, walked])
 
 
 def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:

@@ -306,8 +306,8 @@ class TestAchievableRegion:
 
 
 def unpruned_region_from_caps(p, caps, frontier_samples):
-    """region_from_caps before the prune, as the reference: every polytope of
-    the flattened caps (5, n) is walked, prefiltered and hulled."""
+    """The inner region of caps before the prune, as the reference: every
+    polytope of the flattened caps (5, n) is walked, prefiltered and hulled."""
     pts, _ = batch_vertices(ach.FAMILY_COEFFS, caps)
     pts = pts if pts.size else np.zeros((0, 2))
     pts = np.vstack([pts, ach.single_user_anchors(p)])
@@ -316,10 +316,11 @@ def unpruned_region_from_caps(p, caps, frontier_samples):
 
 
 def assert_matches_unpruned(p, grid, caps=None):
-    """vertices and frontier of region_from_caps equal the reference bit for bit."""
+    """vertices and frontier of the hull of inner_cloud equal the reference
+    bit for bit."""
     if caps is None:
         caps = ach.family_caps(p, *ach.parameter_grids(p, grid))
-    got = ach.region_from_caps(p, caps, grid.frontier_samples)
+    got = region_from_points(ach.inner_cloud(p, caps), grid.frontier_samples)
     want = unpruned_region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
     for name in ("vertices", "frontier_r1", "frontier_r2"):
         a, b = getattr(got, name), getattr(want, name)
@@ -336,9 +337,9 @@ def probe_sweep(p, grid):
     walked, cloud_sizes = [], []
     emit, inner_cloud = geometry._emit, ach.inner_cloud
 
-    def emit_spy(t, cols=slice(None)):
-        walked.append(t.live[cols].size)
-        return emit(t, cols)
+    def emit_spy(walk, live, h, single):
+        walked.append(live.size)
+        return emit(walk, live, h, single)
 
     def inner_cloud_spy(p, caps):
         out = inner_cloud(p, caps)
@@ -398,7 +399,7 @@ class TestPrunedSweep:
         grid = GridSpec(9, 5)
         caps = ach.family_caps(p_star, *ach.parameter_grids(p_star, grid))
         caps[:, 4, 2, 2] = [-0.5 * FEASIBILITY_TOL, 1.7, 1.7, 1.7, 3.4]
-        region = ach.region_from_caps(p_star, caps, grid.frontier_samples)
+        region = region_from_points(ach.inner_cloud(p_star, caps), grid.frontier_samples)
         assert region.vertices[:, 0].min() == -0.5 * FEASIBILITY_TOL
         assert_matches_unpruned(p_star, grid, caps)
 

@@ -297,8 +297,9 @@ class TestConverseRegion:
         assert not contains(region, (region.r1_max + 1e-6, 0.0))
 
     def test_degenerate_snr_propagates(self):
-        # scenario (4, x) selects a sum-cap variant dividing by snr_fwd_1
-        p = ChannelParameters(0.0, 6.0, 3.0, 4.0, 1.0, 1.0)
-        if conv.k6_variant(classify_events(p)) in (3, 4):
-            with pytest.raises(DegenerateChannelError):
-                converse_region(p)
+        # events (5, 3) select k6 variant 3: user 1's half takes the b6 form,
+        # which divides by snr_fwd_1
+        p = ChannelParameters(0.0, 10.0, 5.0, 0.0, 1.0, 1.0)
+        assert classify_events(p) == EventPair(5, 3) and conv.k6_variant(classify_events(p)) == 3
+        with pytest.raises(DegenerateChannelError, match="b6 is undefined"):
+            converse_region(p)

@@ -307,3 +307,16 @@ class TestParallelSweep:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert done.returncode == 0 and done.stderr == "", done.stderr
+
+    def test_importing_gicnof_loads_no_process_pool_module(self):
+        # _pool imports multiprocessing and concurrent.futures on first use,
+        # so that importing the package stays cheap
+        script = textwrap.dedent("""
+            import sys
+            import gicnof
+            print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert done.returncode == 0 and done.stdout == "[]\n", done.stderr

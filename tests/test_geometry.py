@@ -186,12 +186,13 @@ def batch_columns(coeffs, rhs, cols):
 
 
 def outside_and_tightened(coeffs, rhs, inner):
-    """vertices_outside, and the columns of each call it makes to _tighten."""
+    """vertices_outside, and the caps, by column, of each call it makes to
+    _tighten."""
     tightened, tighten = [], geometry._tighten
 
-    def spy(walk, live, caps, eps):
-        tightened.append(live.tolist())
-        return tighten(walk, live, caps, eps)
+    def spy(walk, caps, eps):
+        tightened.append(caps.T.tolist())
+        return tighten(walk, caps, eps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_tighten", spy)
@@ -267,7 +268,7 @@ class TestVerticesOutside:
         rhs = np.array([[0.1, 0.1, 1e6, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
         inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
         pts, idx, tightened = outside_and_tightened(coeffs, rhs, inner.boundary)
-        assert tightened == [[1]] and set(idx.tolist()) == {1}
+        assert tightened == [rhs[:, [1]].T.tolist()] and set(idx.tolist()) == {1}
         want, _ = batch_columns(coeffs, rhs, [1])
         assert pts.tobytes() == want.tobytes()
         assert len(pts) == 4
@@ -327,7 +328,7 @@ class TestVerticesOutside:
         inner = region_from_points(knots).boundary
         rhs = np.array([[1.0, 1.0, 100.0, 100.0, 100.0], [1.5, 1.5, 100.0, 100.0, 100.0]]).T
         pts, idx, tightened = outside_and_tightened(coeffs, rhs, inner)
-        assert tightened == [[1]]
+        assert tightened == [rhs[:, [1]].T.tolist()]
         assert set(idx.tolist()) == {1}
         assert {tuple(v) for v in pts} == {(0.0, 0.0), (1.5, 0.0), (1.5, 1.5), (0.0, 1.5)}
 
@@ -347,6 +348,21 @@ class TestVerticesOutside:
         want, want_idx = batch_columns(coeffs, rhs, [1, 3, 4, 5])
         assert pts.tobytes() == want.tobytes() and idx.tobytes() == want_idx.tobytes()
 
+    def test_caller_caps_are_left_unchanged(self):
+        # every column is nonempty and finite and no row folds, so both
+        # calls work on the caller's rhs itself, not on a copy; the sum row
+        # has a dual term pairing R1 and R2, so the first pass bounds it
+        rng = np.random.default_rng(97)
+        coeffs = np.array(FAMILIES)
+        rhs = rng.uniform(0.0, 3.0, size=(5, 400))
+        before = rhs.copy()
+        inner = region_from_points(np.array([[0.0, 0.6], [0.4, 0.4], [0.6, 0.0]])).boundary
+        batch_vertices(coeffs, rhs)
+        assert rhs.tobytes() == before.tobytes()
+        _, idx = vertices_outside(coeffs, rhs, inner)
+        assert rhs.tobytes() == before.tobytes()
+        assert 0 < np.unique(idx).size < rhs.shape[1]
+
     def test_dual_bounds_drop_no_polytope_the_tightened_test_keeps(self):
         # on the inner sweep's caps, the test on dual bounds from the raw caps
         # leaves out a subset of what the test on exact support values leaves
@@ -364,10 +380,9 @@ class TestVerticesOutside:
             facets = geometry._chain_facets(walk, chain)
             rows = {k for terms, _ in facets for k, _ in terms}
             dual = finite & geometry._below(facets, geometry._pair_bounds(walk, c, rows), live.size)
-            t = geometry._tighten(walk, live, c, geometry._batch_eps(c))
-            support = dict(zip((k for k, _ in walk.duals), t.support))
-            tight = finite & geometry._below(facets, support, live.size)
-            pts, idx = geometry._emit(t)
+            h, single = geometry._tighten(walk, c, geometry._batch_eps(c))
+            tight = finite & geometry._below(facets, h, live.size)
+            pts, idx = geometry._emit(walk, live, h, single)
             r1_max, knot_r1, knot_r2 = chain
             margin = 1e-9 * max(1.0, np.abs(knot_r1).max(), np.abs(knot_r2).max())
             below = ((pts[:, 0] < r1_max - margin)
