@@ -28,20 +28,13 @@ plus the last) and the single-user corners.  Its extreme points in
 FAN_DIRECTIONS directions evenly spaced over [0, pi/2], and the point
 farthest beyond the chord of each two adjacent ones, are points of the
 region, so the chain Q through them, by ascending R1, lies inside it.  The
-prune runs in support space (geometry.vertices_outside).  The facets
-n . v <= b of Q's downward closure (R2 below Q's first knot, one per pair of
-adjacent knots, R1 below Q's largest R1) have normals n >= 0, and each n is
-a nonnegative mix of two slope-adjacent family directions, so a polytope's
-support in n is at most the same mix of its supports in those two.  A
-polytope with finite, nonnegative caps is dropped when that bound lies
-below b less a scale-relative 1e-9 * (n1 + n2) on every facet: first with
-supports bounded from the raw caps by the LP-dual terms that pair two
-families, over the whole grid; then, for the few polytopes left, with their
-exact supports once tightened.  A dropped polytope lies strictly inside the
-region's downward closure: none of its points is a hull vertex, the
-farthest point of a quickhull step, or the largest R1 or R2.  The vertices
-of the polytopes left go to the hull with no dominance prefilter, and the
-region is bit for bit the one the unpruned sweep gives.
+prune is one test in support space, over the whole grid, on supports
+bounded from the raw caps (geometry.vertices_outside gives the argument).
+A polytope it drops lies strictly inside the region's downward closure:
+none of its points is a hull vertex, the farthest point of a quickhull
+step, or the largest R1 or R2.  The vertices of the polytopes left go to
+the hull with no dominance prefilter, and the region is bit for bit the one
+the unpruned sweep gives.
 """
 
 from __future__ import annotations
@@ -310,10 +303,11 @@ def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
 
     The vertices of a coarse sub-grid and the single-user corners lie in
     the region, and so does the chain of their extreme points in a fan of
-    directions (_fan_chain).  The polytopes strictly inside that chain can
-    hold no hull vertex (geometry.vertices_outside), so only the others are
-    walked.  Their vertices and the corners are the cloud, in walk order,
-    since a hull depends on the set of its points alone
+    directions (_fan_chain).  The one test of geometry.vertices_outside
+    leaves out polytopes strictly inside that chain, which can hold no hull
+    vertex, and only the others are walked.  Their vertices and the corners
+    are the cloud, in walk order, since a hull depends on the set of its
+    points alone
     (geometry.convex_hulls); only a cloud with a coordinate below zero still
     passes the dominance prefilter.  The hull is the one the unpruned sweep
     gives.

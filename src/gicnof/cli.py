@@ -247,7 +247,8 @@ def cmd_simulate(args) -> int:
 
 def _add_grid_flags(sp) -> None:
     sp.add_argument("--rho-steps", type=int, default=None, help="correlation grid points")
-    sp.add_argument("--mu-steps", type=int, default=None, help="power-split grid points")
+    sp.add_argument("--mu-steps", type=int, default=None,
+                    help="power-split grid points (inner sweep only: the converse has no splits)")
     sp.add_argument("--frontier-samples", type=int, default=None, help="frontier sampling resolution")
 
 

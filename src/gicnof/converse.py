@@ -302,4 +302,4 @@ def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Regio
                         frontier, -np.inf)
 
     pts, _ = batch_vertices(FAMILY_COEFFS, caps[:, feasible])
-    return envelope_union(r1_grid, frontier[feasible], vertices=pts if pts.size else None)
+    return envelope_union(r1_grid, frontier[feasible], vertices=pts)

@@ -26,17 +26,13 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   into one table, a row per direction and a column per polytope, and walks
   the directions in slope order, a fixed number of passes over rows of
   length n: O(n (pairs + m)) time, O(n m) memory;
-- vertices_outside walks only the w polytopes that are not strictly inside
-  an inner chain with q knots (for the inner sweep, the extreme points of
-  a coarse sub-grid's vertices in a fan of directions), and tests them in
-  support space: each facet normal n >= 0 of the chain's downward closure
-  is a nonnegative mix of two slope-adjacent directions, so a polytope's
-  support in n is at most the same mix of its supports in them.  A first
-  pass bounds those supports, by the same rows as the table, from the raw
-  caps by the LP-dual terms that pair two constraint rows: O(n (pairs + q))
-  time, no corner and no tightening.  Only the polytopes it keeps are
-  tightened and tested again on their table, and the k candidate vertices
-  come from w polytopes, not from n;
+- vertices_outside leaves out the polytopes strictly inside an inner chain
+  with q knots (for the inner sweep, the extreme points of a coarse
+  sub-grid's vertices in a fan of directions) by one test in support space,
+  on bounds from the raw caps: O(n (pairs + q)) time, no corner and no
+  tightening.  Only the w polytopes it keeps are tightened and walked, so
+  the k candidate vertices come from w polytopes, not from n (the argument
+  is in vertices_outside);
 - convex_hulls is a quickhull on the k candidates with no sort of its
   input, run level-synchronously: each depth of the recursion is one
   vectorized pass of O(k) over the pending edges of every cloud of a batch,
@@ -50,7 +46,8 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
 
 Tolerances are scale-relative: FEASIBILITY_TOL for emptiness and membership,
 the dominance margin 1e-9, and HULL_EPS for collinearity, ulp twins and
-repeated vertices.
+repeated vertices, and for the single-vertex test of each polytope, relative
+to its own largest finite cap.
 """
 
 from __future__ import annotations
@@ -69,7 +66,10 @@ FRONTIER_SAMPLES = 512     # default Pareto-frontier sampling resolution
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep resolutions for region construction."""
+    """Sweep resolutions for region construction.
+
+    The converse reads only rho_points and frontier_samples: it has no
+    power splits, so mu_points changes the inner sweep alone."""
 
     rho_points: int = 33
     mu_points: int = 17
@@ -436,15 +436,6 @@ def _live_caps(coeffs: np.ndarray, rhs: np.ndarray):
     return walk, live, caps
 
 
-def _batch_eps(caps: np.ndarray) -> float:
-    """The tolerance of the single-vertex test: HULL_EPS times the largest
-    finite cap of the batch, or HULL_EPS when that is below 1."""
-    top = float(np.max(caps, initial=1.0))
-    if top == np.inf:
-        top = float(np.max(caps, where=caps < np.inf, initial=1.0))
-    return HULL_EPS * top
-
-
 def _least_dual(caps: np.ndarray, terms, out: np.ndarray, term: np.ndarray,
                 part: np.ndarray) -> np.ndarray:
     """out, lowered in place to the least LP-dual term of a row over terms
@@ -459,16 +450,18 @@ def _least_dual(caps: np.ndarray, terms, out: np.ndarray, term: np.ndarray,
     return out
 
 
-def _tighten(walk: _VertexWalk, caps: np.ndarray, eps: float):
+def _tighten(walk: _VertexWalk, caps: np.ndarray):
     """The support table (h, single) of the polytopes of caps, one column
-    each, with the batch tolerance eps; both have one row per row of
-    walk.dirs.  h[k] is the support value in dirs[k], the least of caps[k]
-    and the LP-dual terms of row k, and single[k] whether that row's line
-    touches the polytope at a single vertex: some dual term lies within eps
-    of caps[k] or below it.  The rows that are not walked, the axes and the
-    rows folded into a parallel one, hold 0 and False."""
+    each; both have one row per row of walk.dirs.  h[k] is the support
+    value in dirs[k], the least of caps[k] and the LP-dual terms of row k,
+    and single[k] whether that row's line touches the polytope at a single
+    vertex: some dual term lies within eps of caps[k] or below it, with
+    eps = HULL_EPS * max(1, the column's largest finite cap).  A column's
+    table depends on its own caps alone.  The rows that are not walked, the
+    axes and the rows folded into a parallel one, hold 0 and False."""
     h = np.zeros((len(walk.dirs), caps.shape[1]))
     single = np.zeros(h.shape, bool)
+    eps = HULL_EPS * np.max(caps, axis=0, where=caps < np.inf, initial=1.0)
     term, part = np.empty((2, caps.shape[1]))
     for k, terms in walk.duals:
         h[k] = np.inf
@@ -522,18 +515,20 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     nonempty polytope (_tighten).  Every tightened line touches the
     polytope, so the vertices are the intersections of lines adjacent in
     the counterclockwise order of their normals (_emit).  A line the
-    duality tightens, or meets to within rounding, touches at a single
-    vertex, which both of its neighbours already pass through, so the walk
-    emits that vertex once.  The pair table and the order depend on coeffs
-    alone and are computed once per distinct coeffs; the per-polytope work
-    is a fixed number of array passes, O(pairs + m), with no array of shape
-    (pairs, constraints, polytopes).
+    duality tightens, or meets to within rounding of the polytope's own
+    caps, touches at a single vertex, which both of its neighbours already
+    pass through, so the walk emits that vertex once.  So each polytope's
+    vertices depend on its own caps alone, not on the rest of the batch.
+    The pair table and the order depend on coeffs alone and are computed
+    once per distinct coeffs; the per-polytope work is a fixed number of
+    array passes, O(pairs + m), with no array of shape (pairs, constraints,
+    polytopes).
 
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
     """
     walk, live, caps = _live_caps(coeffs, rhs)
-    return _emit(walk, live, *_tighten(walk, caps, _batch_eps(caps)))
+    return _emit(walk, live, *_tighten(walk, caps))
 
 
 def _closure_facets(boundary: tuple, lift: float = 0.0):
@@ -609,7 +604,7 @@ def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> list:
 def _below(facets: list, u, n: int) -> np.ndarray:
     """Which of n polytopes lie inside every facet: sum of lam_k u[k] over
     its terms below its limit, u[k] an upper bound of the support value in
-    row k of walk.dirs (_pair_bounds, or the table of _tighten)."""
+    row k of walk.dirs, such as _pair_bounds gives (vertices_outside)."""
     inside, flag = np.ones((2, n), bool)
     bound, part = np.empty((2, n))
     for ((k, lam), *rest), limit in facets:  # a normal n >= 0 has a row term
@@ -621,7 +616,7 @@ def _below(facets: list, u, n: int) -> np.ndarray:
 
 
 def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
-    """batch_vertices, less the polytopes strictly inside an inner chain.
+    """batch_vertices, less polytopes strictly inside an inner chain.
 
     inner is an upper boundary (r1_max, knot_r1, knot_r2), knots by
     ascending R1 and descending R2, as Region.boundary gives it: the set of
@@ -630,29 +625,31 @@ def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
     does when every knot is one of those vertices and r1_max the largest
     knot R1.
 
-    The test runs on support values, not on vertices.  Its facets are those
-    of the chain's downward closure (_closure_facets), all with normals
-    n >= 0, whose intersection lies inside that set even when the knots are
-    not concave.  A polytope is left out when its caps are all finite and
-    nonnegative and, on every facet n . v <= b, its support value in n lies
-    below b - margin * (n1 + n2), margin = 1e-9 * max(1, largest |knot|).
-    Then v + margin * (1, 1) is in the region for each of its points v, so
-    none of them is a hull vertex of the region, or the farthest point
-    beyond any chord of a quickhull.  n is lam_i d_i + lam_j d_j over two
-    slope-adjacent directions of the walk, so the support in n is at most
-    lam_i u_i + lam_j u_j for any upper bounds u of the supports in d.
+    One test, on bounds of support values, runs before any polytope is
+    tightened.  Its facets are those of the chain's downward closure
+    (_closure_facets), all with normals n >= 0, whose intersection lies
+    inside that set even when the knots are not concave.  Each n is
+    lam_i d_i + lam_j d_j over two slope-adjacent directions of the walk
+    (_chain_facets), so a polytope's support in n is at most
+    lam_i u_i + lam_j u_j for any upper bounds u of its supports in d.  u
+    is the raw caps, lowered by the LP-dual terms that pair two constraint
+    rows (_pair_bounds); by weak duality each term bounds the support.  A
+    polytope is left out when its caps are all finite and nonnegative and,
+    on every facet n . v <= b, that bound lies below b - margin * (n1 + n2),
+    margin = 1e-9 * max(1, largest |knot|).  Then v + margin * (1, 1) is in
+    the region for each of its points v, so none of them is a hull vertex
+    of the region, or the farthest point beyond any chord of a quickhull.
 
-    The test runs twice.  First, over every column, u is the raw caps
-    lowered by the LP-dual terms that pair two constraint rows
-    (_pair_bounds), which drops almost every polytope that lies inside.
-    Only the columns left are tightened, with the tolerance of the whole
-    batch, so that their vertices are those batch_vertices returns for
-    them; the test is then made again with u their exact support values,
-    and what it keeps is walked.  So the polytopes left out are those the
-    exact test drops, and no corner of theirs is computed.  Cost: a fixed
+    The polytopes kept are tightened and walked, and a polytope's vertices
+    depend on its own caps alone (_tighten), so they are those
+    batch_vertices returns for it in any batch.  A test on exact support
+    values would also leave out a polytope whose R1 or R2 cap is redundant,
+    since only a dual term with an axis bounds those supports; such a
+    polytope lies strictly inside too, so its vertices change no hull.  On
+    the inner sweep's caps both tests keep the same polytopes.  Cost: a fixed
     number of array passes per dual term and per facet over the n columns,
-    O(n (pairs + q)) for q knots, then the tightening and walk of the few
-    columns the first pass keeps.
+    O(n (pairs + q)) for q knots, then the tightening and walk of the
+    columns kept; no corner of a polytope left out is computed.
     """
     walk, live, caps = _live_caps(coeffs, rhs)
     rhs = np.asarray(rhs, float)
@@ -660,20 +657,12 @@ def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
     facets = _chain_facets(walk, inner)
     rows = {k for terms, _ in facets for k, _ in terms}
 
-    # first on bounds from the raw caps of every column, ...
     near = np.ones(live.size, bool)
     tested = np.flatnonzero(finite)
     u = _pair_bounds(walk, caps if tested.size == live.size else caps[:, tested], rows)
     near[tested] = ~_below(facets, u, tested.size)
     near = np.flatnonzero(near)
-    # ... then on the support values of the columns left, once tightened
-    h, single = _tighten(walk, caps if near.size == live.size else caps[:, near],
-                         _batch_eps(caps))
-    walked = np.ones(near.size, bool)
-    tested = np.flatnonzero(finite[near])
-    walked[tested] = ~_below(facets, h[:, tested], tested.size)
-    walked = np.flatnonzero(walked)
-    return _emit(walk, live[near[walked]], h[:, walked], single[:, walked])
+    return _emit(walk, live[near], *_tighten(walk, caps[:, near]))
 
 
 def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:

@@ -170,6 +170,33 @@ class TestBatchVertices:
             caps = achievability.sweep_family_caps(p, GridSpec(rho_points=9, mu_points=5))
             assert_same_vertex_sets(achievability.FAMILY_COEFFS, caps, atol=1e-9 * max(1.0, caps.max()))
 
+    def test_a_column_has_the_same_vertices_alone_as_in_any_batch(self):
+        # the unit square with a 1e-8 corner cut off, below the tolerance the
+        # redundant caps of 1e6 next to it would set, yields the two ends of
+        # the cut whatever the batch; so does every column of random batches
+        coeffs = np.array(FAMILIES)
+        square = np.array([[1.0], [1.0], [2.0 - 1e-8], [3.0], [3.0]])
+        alone, _ = batch_vertices(coeffs, square)
+        assert len(alone) == 5
+        inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]])).boundary
+        for other in ([1e6, 1e6, 0.1, 1e6, 1e6], [0.1, 0.1, 1e6, 1e6, 1e6]):
+            rhs = np.column_stack([other, square])
+            pts, idx = batch_vertices(coeffs, rhs)
+            assert pts[idx == 1].tobytes() == alone.tobytes()
+            pts, idx = vertices_outside(coeffs, rhs, inner)
+            assert pts[idx == 1].tobytes() == alone.tobytes()
+        rng = np.random.default_rng(103)
+        parallel = np.array([[1.0, 1.0], [1.0, 0.0], [2.0, 2.0], [0.0, 3.0], [4.0, 2.0]])
+        for coeffs in (np.array(FAMILIES), parallel):
+            for _ in range(10):
+                rhs = 10.0 ** rng.uniform(-4.0, 6.0, size=(1, 40)) * rng.uniform(0.2, 3.0, (5, 40))
+                rhs[rng.integers(0, 5, 4), rng.integers(0, 40, 4)] = np.inf
+                rhs[rng.integers(0, 5, 4), rng.integers(0, 40, 4)] = -0.5 * FEASIBILITY_TOL
+                pts, idx = batch_vertices(coeffs, rhs)
+                for n in range(rhs.shape[1]):
+                    alone, _ = batch_vertices(coeffs, rhs[:, [n]])
+                    assert pts[idx == n].tobytes() == alone.tobytes()
+
     def test_rejects_invalid_directions(self):
         for coeffs in ([[1.0, -0.5]], [[0.0, 0.0]], [[np.nan, 1.0]], np.ones((2, 3))):
             with pytest.raises(ValueError):
@@ -190,9 +217,9 @@ def outside_and_tightened(coeffs, rhs, inner):
     _tighten."""
     tightened, tighten = [], geometry._tighten
 
-    def spy(walk, caps, eps):
+    def spy(walk, caps):
         tightened.append(caps.T.tolist())
-        return tighten(walk, caps, eps)
+        return tighten(walk, caps)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_tighten", spy)
@@ -243,35 +270,6 @@ class TestVerticesOutside:
         assert np.array_equal(np.column_stack(inner.boundary[1:]), knots)
         _, idx = vertices_outside(np.array(FAMILIES), rhs, inner.boundary)
         assert np.array_equal(np.unique(idx), np.arange(a.size))
-
-    def test_survivors_keep_the_batch_tolerance(self):
-        # the first polytope is the triangle R1 + R2 <= 0.1 with raw caps of
-        # 1e6, which set the tolerance of the single-vertex test to 1e-6; the
-        # second cuts a 1e-8 corner off the unit square, below that tolerance,
-        # so the walk emits that corner once, whether or not the first is kept
-        coeffs = np.array(FAMILIES)
-        rhs = np.array([[1e6, 1e6, 0.1, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
-        inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        pts, idx = vertices_outside(coeffs, rhs, inner.boundary)
-        assert set(idx.tolist()) == {1}
-        want, _ = batch_columns(coeffs, rhs, [1])
-        assert pts.tobytes() == want.tobytes()
-        assert len(pts) == 4
-
-
-    def test_survivors_keep_the_tolerance_of_polytopes_the_dual_bounds_drop(self):
-        # the first polytope is the square [0, 0.1]^2 with redundant caps of
-        # 1e6, left out before any tightening; its caps still set the
-        # tolerance of the single-vertex test to 1e-6, so the 1e-8 corner cut
-        # off the unit square is emitted once
-        coeffs = np.array(FAMILIES)
-        rhs = np.array([[0.1, 0.1, 1e6, 1e6, 1e6], [1.0, 1.0, 2.0 - 1e-8, 3.0, 3.0]]).T
-        inner = region_from_points(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        pts, idx, tightened = outside_and_tightened(coeffs, rhs, inner.boundary)
-        assert tightened == [rhs[:, [1]].T.tolist()] and set(idx.tolist()) == {1}
-        want, _ = batch_columns(coeffs, rhs, [1])
-        assert pts.tobytes() == want.tobytes()
-        assert len(pts) == 4
 
     def test_knots_tied_up_to_rounding(self):
         # the second knot is the first moved up and right by less than the
@@ -367,10 +365,12 @@ class TestVerticesOutside:
         # on the inner sweep's caps, the test on dual bounds from the raw caps
         # leaves out a subset of what the test on exact support values leaves
         # out, and that a subset of what a test of the walk's corners below
-        # the interpolant leaves out; vertices_outside walks what the test
-        # on support values keeps
-        coeffs, grid = achievability.FAMILY_COEFFS, achievability.DEFAULT_GRID
-        for p in random_channels(200, 20260401):
+        # the interpolant leaves out; vertices_outside's one test, on dual
+        # bounds, walks exactly what the test on support values keeps
+        coeffs = achievability.FAMILY_COEFFS
+        cases = [(p, achievability.DEFAULT_GRID) for p in random_channels(200, 20260401)]
+        cases += [(p, GridSpec(65, 33, 1024)) for p in random_channels(20, 20260405)]
+        for p, grid in cases:
             grid_caps = achievability.family_caps(p, *achievability.parameter_grids(p, grid))
             chain = achievability._fan_chain(achievability._coarse_cloud(
                 grid_caps, achievability.single_user_anchors(p)))
@@ -380,7 +380,7 @@ class TestVerticesOutside:
             facets = geometry._chain_facets(walk, chain)
             rows = {k for terms, _ in facets for k, _ in terms}
             dual = finite & geometry._below(facets, geometry._pair_bounds(walk, c, rows), live.size)
-            h, single = geometry._tighten(walk, c, geometry._batch_eps(c))
+            h, single = geometry._tighten(walk, c)
             tight = finite & geometry._below(facets, h, live.size)
             pts, idx = geometry._emit(walk, live, h, single)
             r1_max, knot_r1, knot_r2 = chain
