@@ -150,8 +150,9 @@ def a7(p: ChannelParameters, i: int, rho, mu1, mu2):
     ) - 0.5
 
 
-def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> dict[str, list]:
-    """Right-hand sides of the seventeen bounds, grouped by family.
+def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
+    """Right-hand sides of the seventeen bounds, one tuple per family in
+    FAMILY_COEFFS order, as converse._caps_by_family gives the converse's.
 
     rho, mu1 and mu2 may be broadcastable arrays; every returned entry
     broadcasts against their common shape.  This is the single source for
@@ -166,27 +167,27 @@ def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> dict[str, list]:
     a6_1, a6_2 = a6(p, 1, rho, mu1), a6(p, 2, rho, mu2)
     a7_1 = a7(p, 1, rho, mu1, mu2)
     a7_2 = a7(p, 2, rho, mu1, mu2)
-    return {
-        "r1": [a2_1, a6_1 + a3_2, a1_1 + a3_2 + a4_2],
-        "r2": [a2_2, a3_1 + a6_2, a3_1 + a4_1 + a1_2],
-        "sum": [
+    return (
+        (a2_1, a6_1 + a3_2, a1_1 + a3_2 + a4_2),  # R1
+        (a2_2, a3_1 + a6_2, a3_1 + a4_1 + a1_2),  # R2
+        (  # R1 + R2
             a2_1 + a1_2,
             a1_1 + a2_2,
             a3_1 + a1_1 + a3_2 + a7_2,
             a3_1 + a5_1 + a3_2 + a5_2,
             a3_1 + a7_1 + a3_2 + a1_2,
-        ],
-        "two_r1": [
+        ),
+        (  # 2 R1 + R2
             a2_1 + a1_1 + a3_2 + a7_2,
             a3_1 + a1_1 + a7_1 + 2.0 * a3_2 + a5_2,
             a2_1 + a1_1 + a3_2 + a5_2,
-        ],
-        "two_r2": [
+        ),
+        (  # R1 + 2 R2
             a3_1 + a5_1 + a2_2 + a1_2,
             a3_1 + a7_1 + a2_2 + a1_2,
             2.0 * a3_1 + a5_1 + a3_2 + a1_2 + a7_2,
-        ],
-    }
+        ),
+    )
 
 
 def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
@@ -197,7 +198,7 @@ def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
     converse.family_caps.
     """
     shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
-    return _least_of_each(bound_rhs_arrays(p, rho, mu1, mu2).values(), shape)
+    return _least_of_each(bound_rhs_arrays(p, rho, mu1, mu2), shape)
 
 
 def _least_of_each(families, shape: tuple) -> np.ndarray:
@@ -224,9 +225,15 @@ def parameter_grids(p: ChannelParameters, grid: GridSpec):
     return rho[:, None, None], mu[None, :, None], mu[None, None, :]
 
 
+def grid_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter grid's 1-D correlation axis, and family_caps over the grid."""
+    axes = parameter_grids(p, grid)
+    return axes[0].ravel(), family_caps(p, *axes)
+
+
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
     """family_caps over the whole parameter grid, one column per grid tuple."""
-    return family_caps(p, *parameter_grids(p, grid)).reshape(5, -1)
+    return grid_caps(p, grid)[1].reshape(5, -1)
 
 
 def single_user_anchors(p: ChannelParameters) -> np.ndarray:
@@ -243,7 +250,7 @@ def single_user_anchors(p: ChannelParameters) -> np.ndarray:
     ])
 
 
-def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Region:
+def achievable_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Region:
     """Convex hull of the polytope-vertex union over the parameter grid.
 
     The hull (rather than the raw union) realizes the closure of the
@@ -252,8 +259,7 @@ def achievable_region(p: ChannelParameters, grid: GridSpec | None = None) -> Reg
     region, so an all-infeasible sweep still yields the strong user's axis
     segment rather than collapsing to the origin.
     """
-    grid = grid or DEFAULT_GRID
-    caps = family_caps(p, *parameter_grids(p, grid))
+    _, caps = grid_caps(p, grid)
     return region_from_points(inner_cloud(p, caps), grid.frontier_samples)
 
 

@@ -17,7 +17,7 @@ the one under which the feedback-signal variance matches snr_bwd + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class ChannelCoefficients:
     h_bwd_22: float  # receiver 2 output -> transmitter 2
 
     def __post_init__(self) -> None:
-        for name in ("h_fwd_11", "h_fwd_22", "h_12", "h_21", "h_bwd_11", "h_bwd_22"):
-            _require_finite_nonneg(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite_nonneg(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class ChannelParameters:
     snr_bwd_2: float
 
     def __post_init__(self) -> None:
-        for name in ("snr_fwd_1", "snr_fwd_2", "inr_12", "inr_21", "snr_bwd_1", "snr_bwd_2"):
-            _require_finite_nonneg(name, getattr(self, name))
+        for f in fields(self):
+            _require_finite_nonneg(f.name, getattr(self, f.name))
 
     def snr_fwd(self, i: int) -> float:
         return self.snr_fwd_1 if i == 1 else self.snr_fwd_2
@@ -178,10 +178,19 @@ def coefficients_from_params(p: ChannelParameters) -> ChannelCoefficients:
     )
 
 
+def _snr_power(s: SymmetricPoint, name: str) -> float:
+    """s.snr to the power of the exponent field name, or a ValueError naming it."""
+    try:
+        return s.snr ** getattr(s, name)
+    except OverflowError:
+        raise ValueError(f"snr ** {name} is too large for a float "
+                         f"(snr={s.snr}, {name}={getattr(s, name)})") from None
+
+
 def symmetric_params(s: SymmetricPoint) -> ChannelParameters:
     """Expand a symmetric (snr, alpha, beta) point into the six parameters."""
-    inr = s.snr**s.alpha
-    snr_bwd = s.snr**s.beta
+    inr = _snr_power(s, "alpha")
+    snr_bwd = _snr_power(s, "beta")
     return ChannelParameters(
         snr_fwd_1=s.snr,
         snr_fwd_2=s.snr,

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -34,11 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 
-PARAM_FIELDS = ("snr_fwd_1", "snr_fwd_2", "inr_12", "inr_21", "snr_bwd_1", "snr_bwd_2")
-COEFF_FIELDS = ("h_fwd_11", "h_fwd_22", "h_12", "h_21", "h_bwd_11", "h_bwd_22")
+PARAM_FIELDS = tuple(f.name for f in fields(ChannelParameters))
+COEFF_FIELDS = tuple(f.name for f in fields(ChannelCoefficients))
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input validation failure; message names the offending field or flag."""
 
 
@@ -48,8 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db: float, what: str) -> float:
+    """db in linear scale; what names the field or flag it came from."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise CliError(f"{what}: {db} dB is too large for a float in linear scale") from None
 
 
 def _fmt(x: float) -> str:
@@ -86,7 +91,7 @@ def load_params_file(path: str) -> ChannelParameters:
         v = data[name]
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
             raise CliError(f"field '{name}' must be a finite number, got {v!r}")
-        values[name] = db_to_linear(float(v)) if units == "db" else float(v)
+        values[name] = db_to_linear(float(v), f"field '{name}'") if units == "db" else float(v)
     for name, v in values.items():
         if v < 0.0:
             raise CliError(f"field '{name}' must be >= 0 in linear scale, got {v}")
@@ -122,25 +127,10 @@ def parse_range(spec: str, flag: str) -> np.ndarray:
 
 
 def _grids_from_args(args) -> tuple[GridSpec, GridSpec]:
-    def pick(value, default):
-        return default if value is None else value
-
-    try:
-        ach_grid = GridSpec(
-            rho_points=pick(args.rho_steps, achievability.DEFAULT_GRID.rho_points),
-            mu_points=pick(args.mu_steps, achievability.DEFAULT_GRID.mu_points),
-            frontier_samples=pick(args.frontier_samples,
-                                  achievability.DEFAULT_GRID.frontier_samples),
-        )
-        conv_grid = GridSpec(
-            rho_points=pick(args.rho_steps, converse.DEFAULT_GRID.rho_points),
-            mu_points=pick(args.mu_steps, converse.DEFAULT_GRID.mu_points),
-            frontier_samples=pick(args.frontier_samples,
-                                  converse.DEFAULT_GRID.frontier_samples),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return ach_grid, conv_grid
+    """Each bound's default grid, with the grid flags given; a flag's dest is its field."""
+    given = {f.name: getattr(args, f.name) for f in fields(GridSpec)
+             if getattr(args, f.name) is not None}
+    return replace(achievability.DEFAULT_GRID, **given), replace(converse.DEFAULT_GRID, **given)
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -194,7 +184,7 @@ def cmd_gap(args) -> int:
 def cmd_sweep(args) -> int:
     alphas = parse_range(args.alpha, "--alpha")
     betas = parse_range(args.beta, "--beta")
-    snr = db_to_linear(args.snr_db)
+    snr = db_to_linear(args.snr_db, "flag '--snr-db'")
     if snr <= 1.0:
         raise CliError("flag '--snr-db': the symmetric sweep needs snr > 1 (0 dB)")
     ach_grid, conv_grid = _grids_from_args(args)
@@ -225,11 +215,7 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     c = load_coeffs_file(args.coeffs)
     mode = "fully-correlated" if args.mode == "correlated" else "independent"
-    try:
-        cfg = SimulationConfig(block_length=args.samples, delay=1, seed=args.seed,
-                               input_mode=mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = SimulationConfig(block_length=args.samples, delay=1, seed=args.seed, input_mode=mode)
     block = simulate_block(c, cfg)
     est = estimate_parameters([block], c, delay=cfg.delay)
     derived = params_from_coefficients(c)
@@ -246,8 +232,9 @@ def cmd_simulate(args) -> int:
 
 
 def _add_grid_flags(sp) -> None:
-    sp.add_argument("--rho-steps", type=int, default=None, help="correlation grid points")
-    sp.add_argument("--mu-steps", type=int, default=None,
+    sp.add_argument("--rho-steps", dest="rho_points", metavar="RHO_STEPS", type=int,
+                    default=None, help="correlation grid points")
+    sp.add_argument("--mu-steps", dest="mu_points", metavar="MU_STEPS", type=int, default=None,
                     help="power-split grid points (inner sweep only: the converse has no splits)")
     sp.add_argument("--frontier-samples", type=int, default=None, help="frontier sampling resolution")
 
@@ -297,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except DegenerateChannelError as exc:
         sys.stderr.write(f"degenerate channel: {exc}\n")
         return EXIT_DEGENERATE

@@ -268,7 +268,7 @@ def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     return _least_of_each(_caps_by_family(p, rho, classify_events(p)), rho.shape)
 
 
-def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Region:
+def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Region:
     """Union over the correlation grid, as a pointwise-maximum frontier envelope.
 
     A rate pair violates the converse only if it violates the bounds at every
@@ -276,14 +276,12 @@ def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Regio
     polytope vertices lying on the envelope are kept as candidate extreme
     points.  An all-infeasible sweep yields the origin alone.
     """
-    grid = grid or DEFAULT_GRID
     if grid.rho_points < 2:
         raise ValueError("the converse rho grid needs at least 2 points")
-    rho = np.linspace(0.0, 1.0, grid.rho_points)
-    caps = family_caps(p, rho)  # (5, n_rho)
-
-    feasible = np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)
-    if not np.any(feasible):
+    caps = family_caps(p, np.linspace(0.0, 1.0, grid.rho_points))  # (5, n_rho)
+    # only the nonempty polytopes, one column per rho, go on
+    caps = caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+    if caps.shape[1] == 0:
         zero = np.zeros(grid.frontier_samples)
         return Region(vertices=np.zeros((1, 2)), frontier_r1=zero, frontier_r2=zero, convex=False)
 
@@ -291,15 +289,14 @@ def converse_region(p: ChannelParameters, grid: GridSpec | None = None) -> Regio
     # cap_k / c1 over c1 > 0, the frontier the least (cap_k - c1 R1) / c2 over c2 > 0
     c1, c2 = FAMILY_COEFFS.T
     reach = np.min(caps[c1 > 0] / c1[c1 > 0, None], axis=0)
-    r1_grid = np.linspace(0.0, float(reach[feasible].max()), grid.frontier_samples)
+    r1_grid = np.linspace(0.0, float(reach.max()), grid.frontier_samples)
 
     r = r1_grid[None, :]
     up = c2 > 0
     frontier = caps[up, :, None] - c1[up, None, None] * r
     frontier /= c2[up, None, None]  # in place: one (families, rho, samples) temporary
     frontier = np.min(frontier, axis=0)
-    frontier = np.where(feasible[:, None] & (r <= reach[:, None] + FEASIBILITY_TOL),
-                        frontier, -np.inf)
+    frontier = np.where(r <= reach[:, None] + FEASIBILITY_TOL, frontier, -np.inf)
 
-    pts, _ = batch_vertices(FAMILY_COEFFS, caps[:, feasible])
-    return envelope_union(r1_grid, frontier[feasible], vertices=pts)
+    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
+    return envelope_union(r1_grid, frontier, vertices=pts)

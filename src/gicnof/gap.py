@@ -76,11 +76,10 @@ def analytic_deltas(
 def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.ndarray):
     """The bound and its delta components from the inner family caps.
 
-    inner is achievability.family_caps on the parameter grid, shape
-    (5, n_rho, n_mu, n_mu); rho is that grid's correlation axis, of any
-    shape with n_rho entries.
+    rho and inner are achievability.grid_caps: the grid's 1-D correlation
+    axis and the family caps, shape (5, n_rho, n_mu, n_mu).
     """
-    outer = converse.family_caps(p, np.ravel(rho))  # (5, n_rho)
+    outer = converse.family_caps(p, rho)  # (5, n_rho)
     deltas = outer[:, :, None, None] - inner
     shape = deltas.shape[1:]
 
@@ -96,32 +95,30 @@ def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.nda
     return float(per_rho[i_rho]), components
 
 
-def analytic_gap_bound(p: ChannelParameters, grid: GridSpec | None = None) -> float:
+def analytic_gap_bound(p: ChannelParameters, grid: GridSpec = achievability.DEFAULT_GRID) -> float:
     """Worst-over-correlation, best-over-splits normalized slack bound."""
-    axes = achievability.parameter_grids(p, grid or achievability.DEFAULT_GRID)
-    bound, _ = _analytic_bound_details(p, axes[0], achievability.family_caps(p, *axes))
+    bound, _ = _analytic_bound_details(p, *achievability.grid_caps(p, grid))
     return bound
 
 
 def exact_gap(
     p: ChannelParameters,
-    grid: GridSpec | None = None,
-    converse_grid: GridSpec | None = None,
+    grid: GridSpec = achievability.DEFAULT_GRID,
+    converse_grid: GridSpec = converse.DEFAULT_GRID,
 ) -> GapReport:
     """Deflation gap between the two regions, with the analytic bound alongside.
 
-    Each region uses its module's default grid when none is given; those
-    defaults keep the gap stable to well under a hundredth of a bit under
-    grid refinement.  The inner family caps are evaluated once and serve
-    both the inner region and the analytic bound.
+    Each region's grid defaults to its module's DEFAULT_GRID.  On reference
+    channels those keep the gap stable to well under a hundredth of a bit
+    under grid refinement, but not on all: doubling the grids moves the gap
+    of ChannelParameters(6121.7, 289788.0, 48.454, 11705.7, 0.1455, 3199.56)
+    from 0.6856 to 0.6308 bits, all of it from the mu grid.  The inner family
+    caps are evaluated once and serve both the inner region and the analytic bound.
     """
-    grid = grid or achievability.DEFAULT_GRID
-    axes = achievability.parameter_grids(p, grid)
-    caps = achievability.family_caps(p, *axes)
+    rho, caps = achievability.grid_caps(p, grid)
     inner = region_from_points(achievability.inner_cloud(p, caps), grid.frontier_samples)
-    outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
-    result = deflation_gap(inner, outer)
-    bound, components = _analytic_bound_details(p, axes[0], caps)
+    result = deflation_gap(inner, converse.converse_region(p, converse_grid))
+    bound, components = _analytic_bound_details(p, rho, caps)
     return GapReport(
         exact_gap=result.gap,
         analytic_bound=bound,
@@ -132,13 +129,11 @@ def exact_gap(
 
 def regions(
     p: ChannelParameters,
-    grid: GridSpec | None = None,
-    converse_grid: GridSpec | None = None,
+    grid: GridSpec = achievability.DEFAULT_GRID,
+    converse_grid: GridSpec = converse.DEFAULT_GRID,
 ) -> tuple[Region, Region]:
     """Both regions with matching defaults, for callers that need the geometry."""
-    inner = achievability.achievable_region(p, grid or achievability.DEFAULT_GRID)
-    outer = converse.converse_region(p, converse_grid or converse.DEFAULT_GRID)
-    return inner, outer
+    return achievability.achievable_region(p, grid), converse.converse_region(p, converse_grid)
 
 
 def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
@@ -149,23 +144,21 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     A run is built in three steps: each cell's inner cloud
     (achievability.inner_cloud, its caps dropped once it is made), then one
     batch of hulls for the run (geometry.regions_from_points), then each
-    cell's converse region and deflation gap.  Any other exception
-    propagates.
+    cell's converse region and deflation gap.  Only the inner step can
+    raise DegenerateChannelError, for a zero INR: the converse raises it
+    only for a zero forward SNR, and SymmetricPoint requires snr > 1; the
+    deflation raises no such error.  Any other exception propagates.
     """
     out, cells, clouds = [None] * len(betas), [], []
     for ib, beta in enumerate(betas):
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
         try:  # the caps are dropped as soon as the cloud is made
-            axes = achievability.parameter_grids(p, grid)
-            clouds.append(achievability.inner_cloud(p, achievability.family_caps(p, *axes)))
+            clouds.append(achievability.inner_cloud(p, achievability.grid_caps(p, grid)[1]))
             cells.append((ib, p))
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
     for (ib, p), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
-        try:
-            out[ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
-        except DegenerateChannelError as exc:
-            out[ib] = str(exc)
+        out[ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
     return out
 
 
@@ -223,8 +216,8 @@ def sweep_symmetric(
     snr: float,
     alpha_grid,
     beta_grid,
-    grid: GridSpec | None = None,
-    converse_grid: GridSpec | None = None,
+    grid: GridSpec = achievability.DEFAULT_GRID,
+    converse_grid: GridSpec = converse.DEFAULT_GRID,
 ) -> GapSurface:
     """Exact gap at every symmetric (alpha, beta) cell.
 
@@ -237,8 +230,6 @@ def sweep_symmetric(
     CPU of the affinity mask, or are run in this process when there is one
     run, one CPU or no fork.  Each cell's gap is the same either way.
     """
-    grid = grid or achievability.DEFAULT_GRID
-    converse_grid = converse_grid or converse.DEFAULT_GRID
     alpha_grid = np.asarray(alpha_grid, float)
     beta_grid = np.asarray(beta_grid, float)
     gaps = np.full((alpha_grid.size, beta_grid.size), np.nan)

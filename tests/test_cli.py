@@ -10,6 +10,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
           "snr_bwd_1": 10, "snr_bwd_2": 10, "units": "linear"}
+C_STAR = {"h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1, "h_bwd_11": 1, "h_bwd_22": 1}
 
 
 @pytest.fixture
@@ -22,10 +23,7 @@ def params_file(tmp_path):
 @pytest.fixture
 def coeffs_file(tmp_path):
     path = tmp_path / "coeffs.json"
-    path.write_text(json.dumps({
-        "h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1,
-        "h_bwd_11": 1, "h_bwd_22": 1,
-    }))
+    path.write_text(json.dumps(C_STAR))
     return str(path)
 
 
@@ -183,3 +181,54 @@ class TestExitCodes:
         path = tmp_path / "mangled.json"
         path.write_text("{not json")
         assert main(["classify", "--params", str(path)]) == 1
+
+    # each input, its one stderr line ({name} is the path of input file name)
+    @pytest.mark.parametrize("args, line", [
+        (["gap", "--params", "{array}"], "error: {array} must contain a JSON object"),
+        (["gap", "--params", "{nan}"], "error: field 'inr_12' must be a finite number, got nan"),
+        (["gap", "--params", "{negative}"],
+         "error: field 'snr_bwd_2' must be >= 0 in linear scale, got -1.0"),
+        (["simulate", "--samples", "100", "--coeffs", "{negative_coeff}"],
+         "error: field 'h_21' must be a finite number >= 0, got -0.5"),
+        (["simulate", "--samples", "1", "--coeffs", "{coeffs}"],
+         "error: delay (1) must be smaller than block_length (1)"),
+        (["sweep", "--snr-db", "30", "--alpha", "1:0:1", "--beta", "1:1:1"],
+         "error: flag '--alpha': need stop >= start and step > 0 in '1:0:1'"),
+        (["gap", "--params", "{params}", "--mu-steps", "1"],
+         "error: mu grids need at least 2 points"),
+        (["gap", "--params", "{params}", "--frontier-samples", "1"],
+         "error: grid resolutions must be positive (frontier_samples >= 2)"),
+        (["sweep", "--snr-db", "0", "--alpha", "1:1:1", "--beta", "1:1:1"],
+         "error: flag '--snr-db': the symmetric sweep needs snr > 1 (0 dB)"),
+        # inputs whose linear value overflows a float
+        (["gap", "--params", "{db_overflow}"],
+         "error: field 'snr_fwd_1': 4000.0 dB is too large for a float in linear scale"),
+        (["sweep", "--snr-db", "4000", "--alpha", "1:1:1", "--beta", "1:1:1"],
+         "error: flag '--snr-db': 4000.0 dB is too large for a float in linear scale"),
+        (["sweep", "--snr-db", "40", "--alpha", "80:80:1", "--beta", "1:1:1"],
+         "error: snr ** alpha is too large for a float (snr=10000.0, alpha=80.0)"),
+        (["sweep", "--snr-db", "40", "--alpha", "0.5:0.5:1", "--beta", "90:90:1"],
+         "error: snr ** beta is too large for a float (snr=10000.0, beta=90.0)"),
+    ])
+    def test_input_error_line(self, args, line, tmp_path, capsys):
+        files = {
+            "array": [1, 2],
+            "nan": dict(P_STAR, inr_12=float("nan")),
+            "negative": dict(P_STAR, snr_bwd_2=-1),
+            "db_overflow": dict(P_STAR, units="db", snr_fwd_1=4000),
+            "params": P_STAR,
+            "coeffs": C_STAR,
+            "negative_coeff": dict(C_STAR, h_21=-0.5),
+        }
+        paths = {}
+        for name, payload in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(payload))
+        assert main([a.format(**paths) for a in args]) == 1
+        assert capsys.readouterr().err == line.format(**paths) + "\n"
+
+    def test_zero_inr_cell_is_missing(self, capsys):
+        assert main(["sweep", "--snr-db", "40", "--alpha=-400:-400:1", "--beta", "1:1:1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "-400.000000,1.000000,nan,"
+            "missing:inner bound is undefined for zero INR (inr_12=0.0, inr_21=0.0)")
