@@ -16,6 +16,11 @@ For a fixed correlation rho in [0, 1] the bounds cut out a polytope; the
 converse region is the union over rho, realized as the pointwise-maximum
 frontier envelope.  The union is deliberately not convexified: a hull would
 still be a valid outer bound but would inflate the measured gap.
+converse_region builds the envelope, which exact_gap (its witness is a
+frontier sample) and the region command use.  The symmetric sweep takes
+converse_vertices instead, the vertices of every nonempty polytope: the
+deflation is convex and nondecreasing, so its largest value over the union
+is reached at one of them, and the gap is the envelope's.
 
 The kappa_6 / kappa_7 cap definitions include additive log2(2*pi*e) and
 2*log2(2*pi*e) constants.  They are kept verbatim even though they loosen
@@ -262,10 +267,33 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
 def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     """Binding converse cap per bound family; rho may be an array.
 
-    Returns shape (5,) + rho.shape in FAMILY_COEFFS order.
+    Returns shape (5,) + rho.shape in FAMILY_COEFFS order.  Raises
+    DegenerateChannelError when inr_12 * inr_21, a factor of the sum and
+    weighted caps, is not a finite float.
     """
+    if not math.isfinite(p.inr_12 * p.inr_21):
+        raise DegenerateChannelError(
+            f"converse bound is undefined for an INR product beyond the float range "
+            f"(inr_12={p.inr_12!r}, inr_21={p.inr_21!r})")
     rho = np.asarray(rho, float)
     return _least_of_each(_caps_by_family(p, rho, classify_events(p)), rho.shape)
+
+
+def _feasible_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
+    """The family caps on the correlation grid of the nonempty polytopes
+    only, one column per rho: those whose caps are all finite and at least
+    -FEASIBILITY_TOL."""
+    if grid.rho_points < 2:
+        raise ValueError("the converse rho grid needs at least 2 points")
+    caps = family_caps(p, np.linspace(0.0, 1.0, grid.rho_points))  # (5, n_rho)
+    return caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+
+
+def _reach(caps: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each polytope's reach along one rate axis, whose coefficients in
+    FAMILY_COEFFS are c: family k reads c1 R1 + c2 R2 <= cap_k, so the
+    reach is the least cap_k / c_k over c_k > 0."""
+    return np.min(caps[c > 0] / c[c > 0, None], axis=0)
 
 
 def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Region:
@@ -276,19 +304,14 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     polytope vertices lying on the envelope are kept as candidate extreme
     points.  An all-infeasible sweep yields the origin alone.
     """
-    if grid.rho_points < 2:
-        raise ValueError("the converse rho grid needs at least 2 points")
-    caps = family_caps(p, np.linspace(0.0, 1.0, grid.rho_points))  # (5, n_rho)
-    # only the nonempty polytopes, one column per rho, go on
-    caps = caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+    caps = _feasible_caps(p, grid)
     if caps.shape[1] == 0:
         zero = np.zeros(grid.frontier_samples)
         return Region(vertices=np.zeros((1, 2)), frontier_r1=zero, frontier_r2=zero, convex=False)
 
-    # family k reads c1 R1 + c2 R2 <= cap_k: the R1 reach is the least
-    # cap_k / c1 over c1 > 0, the frontier the least (cap_k - c1 R1) / c2 over c2 > 0
+    # the frontier is the least (cap_k - c1 R1) / c2 over c2 > 0, up to the R1 reach
     c1, c2 = FAMILY_COEFFS.T
-    reach = np.min(caps[c1 > 0] / c1[c1 > 0, None], axis=0)
+    reach = _reach(caps, c1)
     r1_grid = np.linspace(0.0, float(reach.max()), grid.frontier_samples)
 
     r = r1_grid[None, :]
@@ -300,3 +323,29 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
 
     pts, _ = batch_vertices(FAMILY_COEFFS, caps)
     return envelope_union(r1_grid, frontier, vertices=pts)
+
+
+def converse_vertices(p: ChannelParameters,
+                      grid: GridSpec = DEFAULT_GRID) -> tuple[np.ndarray, float]:
+    """The vertices of every nonempty per-rho polytope, and the start of the
+    deflation's bisection: geometry.deflate(inner, *converse_vertices(p, grid))
+    is deflation_gap(inner, converse_region(p, grid)), with no frontier.
+
+    The deflation xi(q) is convex and nondecreasing in q (every facet normal
+    of the inner closure is nonnegative), so its largest value over the
+    union of the polytopes is reached at a vertex of one of them; the
+    sampled frontier and the envelope filter add no larger value.  The
+    start is deflation_gap's, the largest coordinate of its candidates: the
+    largest R1 and R2 reaches, which the frontier samples reach, and the
+    largest coordinate of the envelope vertices, which envelope_union rounds
+    to 12 decimals.  The rounding is repeated here over every vertex, so
+    that the two bisections start at the same float.  An all-infeasible
+    grid yields the origin alone, with start 0.
+    """
+    caps = _feasible_caps(p, grid)
+    if caps.shape[1] == 0:
+        return np.zeros((1, 2)), 0.0
+    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
+    c1, c2 = FAMILY_COEFFS.T
+    start = max(_reach(caps, c1).max(), _reach(caps, c2).max(), np.round(pts, 12).max())
+    return pts, float(start)

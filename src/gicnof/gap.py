@@ -22,7 +22,14 @@ import numpy as np
 from . import achievability, converse
 from .channel import ChannelParameters, SymmetricPoint, symmetric_params
 from .errors import DegenerateChannelError
-from .geometry import GridSpec, Region, deflation_gap, region_from_points, regions_from_points
+from .geometry import (
+    GridSpec,
+    Region,
+    deflate,
+    deflation_gap,
+    region_from_points,
+    regions_from_points,
+)
 
 
 @dataclass(frozen=True)
@@ -142,23 +149,29 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     reason a DegenerateChannelError gave for it, in beta order.
 
     A run is built in three steps: each cell's inner cloud
-    (achievability.inner_cloud, its caps dropped once it is made), then one
+    (achievability.inner_cloud, its caps dropped once it is made) and its
+    converse polytopes' vertices (converse.converse_vertices), then one
     batch of hulls for the run (geometry.regions_from_points), then each
-    cell's converse region and deflation gap.  Only the inner step can
-    raise DegenerateChannelError, for a zero INR: the converse raises it
-    only for a zero forward SNR, and SymmetricPoint requires snr > 1; the
-    deflation raises no such error.  Any other exception propagates.
+    cell's deflation gap from the vertices (geometry.deflate), which is
+    deflation_gap's over the converse envelope, with no frontier built.
+    The first step raises DegenerateChannelError for a zero INR (the inner
+    cloud) or an INR product that overflows (the converse), and the cell is
+    then left out; the deflation raises no such error.  Any other exception
+    propagates.
     """
     out, cells, clouds = [None] * len(betas), [], []
     for ib, beta in enumerate(betas):
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
         try:  # the caps are dropped as soon as the cloud is made
-            clouds.append(achievability.inner_cloud(p, achievability.grid_caps(p, grid)[1]))
-            cells.append((ib, p))
+            cloud = achievability.inner_cloud(p, achievability.grid_caps(p, grid)[1])
+            outer = converse.converse_vertices(p, converse_grid)
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
-    for (ib, p), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
-        out[ib] = deflation_gap(inner, converse.converse_region(p, converse_grid)).gap
+            continue
+        clouds.append(cloud)
+        cells.append((ib, outer))
+    for (ib, outer), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
+        out[ib] = deflate(inner, *outer).gap
     return out
 
 
@@ -222,8 +235,11 @@ def sweep_symmetric(
     """Exact gap at every symmetric (alpha, beta) cell.
 
     Degenerate cells are recorded as missing with their reason instead of
-    aborting the sweep; in practice only zero-INR cells can be degenerate.
-    Each cell's gap is deflation_gap(*regions(p, grid, converse_grid)).gap.
+    aborting the sweep: zero-INR cells, and cells whose INR product
+    overflows a float.  Each cell's gap is
+    deflation_gap(*regions(p, grid, converse_grid)).gap, taken from the
+    converse polytopes' vertices (converse.converse_vertices) without the
+    envelope that converse_region builds for exact_gap and the region command.
     The cells are cut into runs in row-major order (_sweep_chunk): one alpha
     row each, or, when there are fewer rows than CPUs, even parts of each
     row.  The runs go to a persistent pool of one forked worker process per

@@ -41,8 +41,10 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   clouds (a sweep row) in one call, and convex_hull and region_from_points
   are its one-cloud cases.  discard_strictly_dominated, one O(k log k)
   sort, runs only on inner clouds with a coordinate below zero;
-- deflation_gap is one pass of c candidates over the facets of D, one per
-  edge of the inner Pareto chain plus two: O(c h), and a scalar bisection.
+- deflate is one pass of c candidates over the facets of D, one per edge
+  of the inner Pareto chain plus two: O(c h), and a scalar bisection;
+  deflation_gap takes an outer region's frontier samples and vertices as
+  the candidates.
 
 Tolerances are scale-relative: FEASIBILITY_TOL for emptiness and membership,
 the dominance margin 1e-9, and HULL_EPS for collinearity, ulp twins and
@@ -842,38 +844,58 @@ def deflation_gap(inner: Region, outer: Region, tol: float = BISECTION_TOL) -> D
 
     Candidates are the outer frontier samples plus the outer vertex set; exact
     vertices are included because a polytope corner can dominate all sampled
-    frontier points by up to a grid step.  The inner region's downward
-    closure D has one facet a . p <= b per edge (x_k, y_k) -> (x_k+1, y_k+1)
-    of its Pareto chain, a = (y_k - y_k+1, x_k+1 - x_k), plus R1 <= r1_max
-    and R2 <= the chain's first R2.  Each cap is relaxed by FEASIBILITY_TOL
-    in R2 (in R1 for the R1 facet), so that by the rule of contains the
-    least xi putting a candidate q inside is max(0, max over facets of
-    (a . q - b) / (a1 + a2)): one pass over candidates x facets.
-
-    The largest xi is then quantised as a per-candidate bisection reports
-    it: from [0, largest candidate coordinate], midpoints 0.5 * (lo + hi)
-    until hi - lo <= tol.  The gap is the final hi, and the witness the
-    first candidate whose xi exceeds the final lo; when no candidate needs
-    deflating, 0.0 and the first candidate.
+    frontier points by up to a grid step.  The bisection starts from
+    [0, largest coordinate of a candidate with no negative coordinate], and
+    deflate does the rest.
     """
-    if not inner.convex:
-        raise ValueError("inner region must be convex (a hull, not an envelope union)")
-    _check_downward_closed(inner, "inner")
     _check_downward_closed(outer, "outer")
-
     cand = np.vstack([
         np.column_stack([outer.frontier_r1, outer.frontier_r2]),
         outer.vertices.reshape(-1, 2),
     ])
-    cand = cand[(cand[:, 0] >= 0) & (cand[:, 1] >= 0)]
+    start = cand.max(initial=0.0, where=np.all(cand >= 0, axis=1, keepdims=True))
+    return deflate(inner, cand, float(start), tol)
+
+
+def _xi(inner: Region, points: np.ndarray) -> np.ndarray:
+    """Per point q, max over the facets a . p <= b of the inner region's
+    downward closure D of (a . q - b) / (a1 + a2); its maximum with 0 is the
+    least xi that deflates q into D."""
+    a1, a2, b = _closure_facets(inner.boundary, FEASIBILITY_TOL)
+    return np.max((points[:, :1] * a1 + points[:, 1:] * a2 - b) / (a1 + a2), axis=1)
+
+
+def deflate(inner: Region, candidates: np.ndarray, start: float,
+            tol: float = BISECTION_TOL) -> DeflationResult:
+    """Smallest xi, on the bisection grid of tol from [0, start], deflating
+    every candidate (n, 2) outer point into the inner region, which must be
+    convex (ValueError otherwise).
+
+    Candidates with a negative coordinate are dropped; when none is left,
+    the origin stands in.  D, the downward closure of the inner region, has
+    one facet a . p <= b per edge (x_k, y_k) -> (x_k+1, y_k+1) of its Pareto
+    chain, a = (y_k - y_k+1, x_k+1 - x_k), plus R1 <= r1_max and R2 <= the
+    chain's first R2.  Each cap is relaxed by FEASIBILITY_TOL in R2 (in R1
+    for the R1 facet), so that by the rule of contains the least xi putting
+    a candidate q inside is max(0, max over facets of (a . q - b) / (a1 + a2)):
+    one pass over candidates x facets (_xi).
+
+    The largest xi is then quantised as a per-candidate bisection reports
+    it: from [0, start], midpoints 0.5 * (lo + hi) until hi - lo <= tol.
+    The gap is the final hi, and the witness the first candidate whose xi
+    exceeds the final lo; when no candidate needs deflating, 0.0 and the
+    first candidate.
+    """
+    if not inner.convex:
+        raise ValueError("inner region must be convex (a hull, not an envelope union)")
+    _check_downward_closed(inner, "inner")
+    cand = candidates[np.all(candidates >= 0, axis=1)]
     if cand.shape[0] == 0:
         cand = np.zeros((1, 2))
 
-    a1, a2, b = _closure_facets(inner.boundary, FEASIBILITY_TOL)
-    xi = np.max((cand[:, :1] * a1 + cand[:, 1:] * a2 - b) / (a1 + a2), axis=1)
-
+    xi = _xi(inner, cand)
     top = float(xi.max())
-    lo, hi = 0.0, float(cand.max()) if top > 0.0 else 0.0
+    lo, hi = 0.0, start if top > 0.0 else 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if top <= mid:

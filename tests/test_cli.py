@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -232,3 +235,24 @@ class TestExitCodes:
         assert capsys.readouterr().out.splitlines()[1] == (
             "-400.000000,1.000000,nan,"
             "missing:inner bound is undefined for zero INR (inr_12=0.0, inr_21=0.0)")
+
+    def test_overflowing_inr_product_cells_are_missing(self, tmp_path):
+        # at 40 dB, alpha = 39 and 40 give INRs of 1e156 and 1e160, whose
+        # product overflows a float: those cells are missing, with no numpy
+        # warning from the (forked) workers, and gap exits 2 on such a channel
+        run = lambda *args: subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gicnof", *args],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        done = run("sweep", "--snr-db", "40", "--alpha", "38:40:1", "--beta", "1:1:1")
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = done.stdout.splitlines()[1:]
+        assert rows[0] == "38.000000,1.000000,0.500016,ok"
+        for row, (alpha, inr) in zip(rows[1:], ((39, "1e+156"), (40, "1e+160"))):
+            assert row == (f"{alpha}.000000,1.000000,nan,missing:converse bound is undefined"
+                           f" for an INR product beyond the float range"
+                           f" (inr_12={inr}, inr_21={inr})")
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps(dict(P_STAR, inr_12=1e156, inr_21=1e156)))
+        done = run("gap", "--params", str(params))
+        assert done.returncode == 2 and len(done.stderr.splitlines()) == 1, done.stderr

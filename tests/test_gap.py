@@ -21,6 +21,7 @@ from gicnof import (
     symmetric_params,
 )
 from gicnof import achievability, converse, gap
+from gicnof.geometry import deflate
 from conftest import random_channels
 
 
@@ -173,6 +174,21 @@ class TestGapProperties:
         inner = achievability.achievable_region(p_star)
         outer = converse.converse_region(p_star)
         assert report.exact_gap == deflation_gap(inner, outer).gap
+
+
+class TestVertexForm:
+    """The sweep's gap, from the converse polytopes' vertices
+    (converse.converse_vertices and geometry.deflate), is deflation_gap's
+    over the converse envelope, bit for bit."""
+
+    def test_equals_the_envelope_gap(self):
+        # the last channel has all six ratios at -20 dB: no rho is feasible
+        # and both forms give 0.0, though the converse is then no outer bound
+        for p in random_channels(200, 20260401) + [ChannelParameters(*[0.01] * 6)]:
+            inner = achievability.achievable_region(p)
+            want = deflation_gap(inner, converse.converse_region(p)).gap
+            assert deflate(inner, *converse.converse_vertices(p)).gap.hex() == want.hex()
+        assert want == 0.0
 
 
 class TestSweepSymmetric:

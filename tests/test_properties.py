@@ -1,4 +1,5 @@
-"""Property tests of the vertex kernel on generated batches of family caps."""
+"""Property tests of the vertex kernel on generated batches of family caps,
+and of the converse polytopes' vertices on generated channels."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from gicnof import achievability  # noqa: E402
+from gicnof import ChannelParameters, achievability, converse  # noqa: E402
 from gicnof.geometry import (  # noqa: E402
     FEASIBILITY_TOL,
+    _xi,
     batch_vertices,
     region_from_points,
     vertices_outside,
@@ -64,3 +66,24 @@ def test_a_column_has_the_same_vertices_alone_as_in_the_batch(caps):
         kept, kept_idx = vertices_outside(COEFFS, caps, fan_chain(pts))
         for n in np.unique(kept_idx):
             assert kept[kept_idx == n].tobytes() == pts[idx == n].tobytes()
+
+
+def largest_xi(inner, points):
+    """max(0, largest xi) over the points with no negative coordinate, the
+    candidates geometry.deflate keeps."""
+    return float(_xi(inner, points[np.all(points >= 0, axis=1)]).max(initial=0.0))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_no_envelope_point_deflates_further_than_a_polytope_vertex(db):
+    # xi is convex and nondecreasing, so over the union of the per-rho
+    # polytopes it peaks at a vertex of one of them: neither the converse
+    # envelope's frontier samples nor its (rounded) vertices exceed that
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    inner = achievability.achievable_region(p)
+    outer = converse.converse_region(p)
+    envelope = np.vstack([np.column_stack([outer.frontier_r1, outer.frontier_r2]),
+                          outer.vertices])
+    vertices, _ = converse.converse_vertices(p)
+    assert largest_xi(inner, envelope) <= largest_xi(inner, vertices) + 1e-12
