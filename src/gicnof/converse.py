@@ -20,7 +20,9 @@ converse_region builds the envelope, which exact_gap (its witness is a
 frontier sample) and the region command use.  The symmetric sweep takes
 converse_vertices instead, the vertices of every nonempty polytope: the
 deflation is convex and nondecreasing, so its largest value over the union
-is reached at one of them, and the gap is the envelope's.
+is reached at one of them, and the gap is the envelope's.  Both raise
+DegenerateChannelError when no rho of the grid gives a polytope containing
+the origin: the bounds then exclude a rate pair every channel achieves.
 
 The kappa_6 / kappa_7 cap definitions include additive log2(2*pi*e) and
 2*log2(2*pi*e) constants.  They are kept verbatim even though they loosen
@@ -181,20 +183,24 @@ def k7_variant(ev: EventPair, i: int) -> int:
     return 1 if _b1_form(ev, _other(i)) else 2
 
 
+def _log2_or_minus_inf(arg):
+    """log2 where arg > 0, else -inf, set and not computed: the first log
+    argument of H_j can be zero at sub-unity extremes, and the b6 form's
+    negative or NaN.  A cap of -inf empties its polytope."""
+    arg = np.asarray(arg)
+    return np.log2(arg, out=np.full(arg.shape, -np.inf), where=arg > 0.0)
+
+
 def _half(p, j, b1_form, rho):
     """H_j: user j's part of kappa_6 and of the other user's kappa_7."""
     mix = _b5(p, 1, rho) * p.inr_21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
     if b1_form:
         b1_j, _ = b_basic(p, j, rho)
-        # b1_j and mix both vanish where user j has neither forward SNR nor
-        # INR at its receiver; log2(0) = -inf is then set, not computed
-        arg = np.asarray(b1_j + mix)
-        log = np.log2(arg, out=np.full(arg.shape, -np.inf), where=arg != 0.0)
-        return 0.5 * log + 0.5 * np.log2(_fb_gain(p, j, rho))
+        return 0.5 * _log2_or_minus_inf(b1_j + mix) + 0.5 * np.log2(_fb_gain(p, j, rho))
     b6_j = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
     snr_j = p.snr_fwd(j)
     return (
-        0.5 * np.log2(b6_j + (mix / snr_j) * (snr_j + _b3(p, j)))
+        0.5 * _log2_or_minus_inf(b6_j + (mix / snr_j) * (snr_j + _b3(p, j)))
         + 0.5 * np.log2(_cross_feedback(p, j, rho))
         - 0.5 * np.log2(1.0 + mix / snr_j)
     )
@@ -279,14 +285,19 @@ def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     return _least_of_each(_caps_by_family(p, rho, classify_events(p)), rho.shape)
 
 
-def _feasible_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
+def _feasible_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The family caps on the correlation grid of the nonempty polytopes
-    only, one column per rho: those whose caps are all finite and at least
-    -FEASIBILITY_TOL."""
+    only, one column per rho (caps all finite and >= -FEASIBILITY_TOL), and
+    their vertices.  Raises DegenerateChannelError when there is none."""
     if grid.rho_points < 2:
         raise ValueError("the converse rho grid needs at least 2 points")
     caps = family_caps(p, np.linspace(0.0, 1.0, grid.rho_points))  # (5, n_rho)
-    return caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+    caps = caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+    if caps.shape[1] == 0:
+        raise DegenerateChannelError("converse bound is undefined: no rho of the "
+                                     "grid gives a polytope containing the origin")
+    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
+    return caps, pts
 
 
 def _reach(caps: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -302,13 +313,10 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     A rate pair violates the converse only if it violates the bounds at every
     rho, so the region is the union of the per-rho polytopes.  Per-rho
     polytope vertices lying on the envelope are kept as candidate extreme
-    points.  An all-infeasible sweep yields the origin alone.
+    points.  Raises DegenerateChannelError when no rho of the grid gives a
+    polytope containing the origin.
     """
-    caps = _feasible_caps(p, grid)
-    if caps.shape[1] == 0:
-        zero = np.zeros(grid.frontier_samples)
-        return Region(vertices=np.zeros((1, 2)), frontier_r1=zero, frontier_r2=zero, convex=False)
-
+    caps, pts = _feasible_caps(p, grid)
     # the frontier is the least (cap_k - c1 R1) / c2 over c2 > 0, up to the R1 reach
     c1, c2 = FAMILY_COEFFS.T
     reach = _reach(caps, c1)
@@ -320,8 +328,6 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     frontier /= c2[up, None, None]  # in place: one (families, rho, samples) temporary
     frontier = np.min(frontier, axis=0)
     frontier = np.where(r <= reach[:, None] + FEASIBILITY_TOL, frontier, -np.inf)
-
-    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
     return envelope_union(r1_grid, frontier, vertices=pts)
 
 
@@ -339,13 +345,10 @@ def converse_vertices(p: ChannelParameters,
     largest R1 and R2 reaches, which the frontier samples reach, and the
     largest coordinate of the envelope vertices, which envelope_union rounds
     to 12 decimals.  The rounding is repeated here over every vertex, so
-    that the two bisections start at the same float.  An all-infeasible
-    grid yields the origin alone, with start 0.
+    that the two bisections start at the same float.  Raises
+    DegenerateChannelError as converse_region does.
     """
-    caps = _feasible_caps(p, grid)
-    if caps.shape[1] == 0:
-        return np.zeros((1, 2)), 0.0
-    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
+    caps, pts = _feasible_caps(p, grid)
     c1, c2 = FAMILY_COEFFS.T
     start = max(_reach(caps, c1).max(), _reach(caps, c2).max(), np.round(pts, 12).max())
     return pts, float(start)

@@ -155,9 +155,9 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     cell's deflation gap from the vertices (geometry.deflate), which is
     deflation_gap's over the converse envelope, with no frontier built.
     The first step raises DegenerateChannelError for a zero INR (the inner
-    cloud) or an INR product that overflows (the converse), and the cell is
-    then left out; the deflation raises no such error.  Any other exception
-    propagates.
+    cloud), an overflowing INR product or no feasible rho (the converse),
+    and the cell is then left out; the deflation raises no such error.  Any
+    other exception propagates.
     """
     out, cells, clouds = [None] * len(betas), [], []
     for ib, beta in enumerate(betas):
@@ -175,23 +175,27 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     return out
 
 
-_POOL = None  # (pid of the process that made it, its ProcessPoolExecutor)
+_POOL = None  # this process's ProcessPoolExecutor
 
 
 @atexit.register
 def _shutdown_pool() -> None:
-    """Stop this process's pool, so that no worker outlives the interpreter."""
-    if _POOL is not None and _POOL[0] == os.getpid():
-        _POOL[1].shutdown()
+    """Stop this process's pool at exit.  concurrent.futures' own exit hook
+    has joined the workers, but only shutdown() drops the executor's manager
+    thread, whose weakref callback would otherwise run at module teardown,
+    after concurrent.futures' globals are cleared, and print an error."""
+    if _POOL is not None:
+        _POOL.shutdown()
 
 
 def _forget_pool() -> None:
     """In a forked child: drop the pool and its workers, which belong to the
-    parent, so that the child neither reuses them nor joins them at exit."""
+    parent, so that the child neither reuses them nor joins them at exit.
+    This hook is the one fork guard: _POOL holds no pid."""
     global _POOL
     if _POOL is not None:
         import multiprocessing.process
-        for worker in (_POOL[1]._processes or {}).values():
+        for worker in (_POOL._processes or {}).values():
             multiprocessing.process._children.discard(worker)
         _POOL = None
 
@@ -212,12 +216,10 @@ def _pool(workers: int):
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    pid = os.getpid()
-    if _POOL is None or _POOL[0] != pid or _POOL[1]._broken:
+    if _POOL is None or _POOL._broken:
         from concurrent.futures import ProcessPoolExecutor
-        context = multiprocessing.get_context("fork")
-        _POOL = (pid, ProcessPoolExecutor(workers, mp_context=context))
-    return _POOL[1]
+        _POOL = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return _POOL
 
 
 def _cpus() -> int:
@@ -235,8 +237,9 @@ def sweep_symmetric(
     """Exact gap at every symmetric (alpha, beta) cell.
 
     Degenerate cells are recorded as missing with their reason instead of
-    aborting the sweep: zero-INR cells, and cells whose INR product
-    overflows a float.  Each cell's gap is
+    aborting the sweep: zero-INR cells, cells whose INR product overflows a
+    float, and cells where no rho of the converse grid gives a polytope
+    containing the origin.  Each cell's gap is
     deflation_gap(*regions(p, grid, converse_grid)).gap, taken from the
     converse polytopes' vertices (converse.converse_vertices) without the
     envelope that converse_region builds for exact_gap and the region command.

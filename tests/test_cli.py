@@ -16,6 +16,14 @@ P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
 C_STAR = {"h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1, "h_bwd_11": 1, "h_bwd_22": 1}
 
 
+def run_gicnof(*args):
+    """The CLI in a new interpreter that turns numpy RuntimeWarnings into errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gicnof", *args],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+
+
 @pytest.fixture
 def params_file(tmp_path):
     path = tmp_path / "params.json"
@@ -240,11 +248,7 @@ class TestExitCodes:
         # at 40 dB, alpha = 39 and 40 give INRs of 1e156 and 1e160, whose
         # product overflows a float: those cells are missing, with no numpy
         # warning from the (forked) workers, and gap exits 2 on such a channel
-        run = lambda *args: subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gicnof", *args],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
-        done = run("sweep", "--snr-db", "40", "--alpha", "38:40:1", "--beta", "1:1:1")
+        done = run_gicnof("sweep", "--snr-db", "40", "--alpha", "38:40:1", "--beta", "1:1:1")
         assert (done.returncode, done.stderr) == (0, "")
         rows = done.stdout.splitlines()[1:]
         assert rows[0] == "38.000000,1.000000,0.500016,ok"
@@ -254,5 +258,21 @@ class TestExitCodes:
                            f" (inr_12={inr}, inr_21={inr})")
         params = tmp_path / "huge.json"
         params.write_text(json.dumps(dict(P_STAR, inr_12=1e156, inr_21=1e156)))
-        done = run("gap", "--params", str(params))
+        done = run_gicnof("gap", "--params", str(params))
         assert done.returncode == 2 and len(done.stderr.splitlines()) == 1, done.stderr
+
+    # all six ratios at -20 dB; and a sub-unity channel whose b6-form log
+    # argument is zero or negative, with no numpy warning on the way
+    @pytest.mark.parametrize("channel", [
+        {**{name: -20 for name in P_STAR if name != "units"}, "units": "db"},
+        dict(P_STAR, snr_fwd_1=1e-30, snr_fwd_2=1e-30, inr_12=1e-30, inr_21=1e4,
+             snr_bwd_1=1e-3, snr_bwd_2=1e-3),
+    ])
+    @pytest.mark.parametrize("command", [["gap"], ["region", "--which", "converse"]])
+    def test_no_feasible_rho_exits_2(self, channel, command, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(channel))
+        done = run_gicnof(*command, "--params", str(params))
+        assert done.returncode == 2 and done.stdout == "", done.stderr
+        assert done.stderr == ("degenerate channel: converse bound is undefined: no rho of"
+                               " the grid gives a polytope containing the origin\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import formula_oracle as oracle
 from gicnof import (
     ChannelParameters,
+    DegenerateChannelError,
     GridSpec,
     SymmetricPoint,
     analytic_deltas,
@@ -182,13 +184,16 @@ class TestVertexForm:
     over the converse envelope, bit for bit."""
 
     def test_equals_the_envelope_gap(self):
-        # the last channel has all six ratios at -20 dB: no rho is feasible
-        # and both forms give 0.0, though the converse is then no outer bound
-        for p in random_channels(200, 20260401) + [ChannelParameters(*[0.01] * 6)]:
+        for p in random_channels(200, 20260401):
             inner = achievability.achievable_region(p)
             want = deflation_gap(inner, converse.converse_region(p)).gap
             assert deflate(inner, *converse.converse_vertices(p)).gap.hex() == want.hex()
-        assert want == 0.0
+        # with all six ratios at -20 dB no rho of the grid is feasible: the
+        # bounds exclude the origin, so neither form has a gap to give
+        p = ChannelParameters(*[0.01] * 6)
+        for f in (converse.converse_region, converse.converse_vertices, exact_gap):
+            with pytest.raises(DegenerateChannelError, match="no rho of the grid"):
+                f(p)
 
 
 class TestSweepSymmetric:
@@ -236,6 +241,13 @@ class TestSweepSymmetric:
     def test_invalid_grid_propagates(self):
         with pytest.raises(ValueError, match="mu grids"):
             sweep_symmetric(1e4, [0.5], [0.5, 1.0], GridSpec(33, 1))
+
+
+def run_script(script):
+    """Run a Python script in a new interpreter on this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
 
 
 def parallel_cpus():
@@ -296,17 +308,17 @@ class TestParallelSweep:
     def test_two_sweeps_reuse_the_worker_processes(self):
         parallel_cpus()
         sweep_symmetric(100.0, [0.5, 1.0], [0.5, 1.5])
-        pool = gap._POOL[1]
+        pool = gap._POOL
         pids = set(pool._processes)
         sweep_symmetric(100.0, [0.5, 1.0], [0.5, 1.5])
-        assert gap._POOL[1] is pool and set(pool._processes) == pids
+        assert gap._POOL is pool and set(pool._processes) == pids
         assert len(pids) == gap._cpus()
 
     def test_a_forked_child_sweeps_and_exits_cleanly(self):
         # the child inherits the parent's pool: it must make its own for its
         # sweep, and must not try to join the parent's workers when it exits
         parallel_cpus()
-        script = textwrap.dedent("""
+        done = run_script("""
             import os, sys
             from gicnof import gap, sweep_symmetric
             first = sweep_symmetric(1e3, [0.5, 1.0], [0.5, 1.0])
@@ -314,25 +326,47 @@ class TestParallelSweep:
             pid = os.fork()
             if pid == 0:
                 again = sweep_symmetric(1e3, [0.5, 1.0], [0.5, 1.0])
-                own = gap._POOL is not None and gap._POOL[0] == os.getpid()
+                workers = list(gap._POOL._processes.values())
+                own = workers and all(w._parent_pid == os.getpid() for w in workers)
                 sys.exit(0 if own and again.gaps.tobytes() == first.gaps.tobytes() else 3)
             _, status = os.waitpid(pid, 0)
             sys.exit(os.waitstatus_to_exitcode(status))
         """)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert done.returncode == 0 and done.stderr == "", done.stderr
+
+    @pytest.mark.parametrize("keep", ["", "sys.keep = gap"])
+    def test_no_worker_outlives_the_interpreter(self, keep):
+        # a script that sweeps and exits leaves no worker alive and nothing
+        # on stderr, also when gap outlives the interpreter's last garbage
+        # collection (a test runner keeps such references): the pool is
+        # then shut down before concurrent.futures' globals are cleared
+        parallel_cpus()
+        done = run_script(f"""
+            import sys
+            from gicnof import gap, sweep_symmetric
+            sweep_symmetric(1e3, [0.5, 1.0], [0.5, 1.0])
+            print(*gap._POOL._processes)
+            {keep}
+        """)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == gap._cpus()
+        deadline = time.monotonic() + 30
+        for pid in pids:
+            while True:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, f"worker {pid} outlived the interpreter"
+                time.sleep(0.05)
 
     def test_importing_gicnof_loads_no_process_pool_module(self):
         # _pool imports multiprocessing and concurrent.futures on first use,
         # so that importing the package stays cheap
-        script = textwrap.dedent("""
+        done = run_script("""
             import sys
             import gicnof
             print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
         """)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert done.returncode == 0 and done.stdout == "[]\n", done.stderr

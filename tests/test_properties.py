@@ -1,5 +1,6 @@
 """Property tests of the vertex kernel on generated batches of family caps,
-and of the converse polytopes' vertices on generated channels."""
+and of the converse polytopes' vertices and the sandwich on generated
+channels."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from gicnof import ChannelParameters, achievability, converse  # noqa: E402
+from gicnof import ChannelParameters, DegenerateChannelError, achievability, converse  # noqa: E402
 from gicnof.geometry import (  # noqa: E402
     FEASIBILITY_TOL,
     _xi,
     batch_vertices,
+    contains,
     region_from_points,
     vertices_outside,
 )
@@ -87,3 +89,20 @@ def test_no_envelope_point_deflates_further_than_a_polytope_vertex(db):
                           outer.vertices])
     vertices, _ = converse.converse_vertices(p)
     assert largest_xi(inner, envelope) <= largest_xi(inner, vertices) + 1e-12
+
+
+@settings(PROPERTY, max_examples=200)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_every_inner_vertex_lies_in_the_converse(db):
+    # the sandwich, over the ratios from -10 to 80 dB
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    outer = converse.converse_region(p)
+    for v in achievability.achievable_region(p).vertices:
+        assert contains(outer, v, 1e-9), v
+
+
+def test_the_converse_raises_where_no_rho_is_feasible():
+    # all six ratios at -20 dB: every per-rho polytope excludes the origin
+    p = ChannelParameters(*[0.01] * 6)
+    with pytest.raises(DegenerateChannelError, match="no rho of the grid"):
+        converse.converse_region(p)
