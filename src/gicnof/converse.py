@@ -5,6 +5,11 @@ INRs and their product.  Five mutually exclusive scenarios per user carve up
 the parameter space.  Twenty-three joint scenarios are feasible: the (2, 2)
 and (3, 3) combinations are contradictory.
 
+The eleven caps kappa_1..kappa_7 are written in one place, _caps_by_family,
+from one set of per-user terms, each evaluated once per call.  kappa_4 and
+kappa_5 share the term t_i with kappa_2 of user i, and add kappa_1 of the
+other user.
+
 The sum cap kappa_6 and the weighted caps kappa_7 are built from one
 per-user half H_j with two forms: the b1 form, in b1_j and the feedback gain,
 and the b6 form, in b6_j and the cross-feedback factor.  H_j takes the b1
@@ -124,50 +129,6 @@ def b_conv(p: ChannelParameters, i: int, rho):
     return _b3(p, i), _b4(p, i, rho), _b5(p, i, rho), _b6(p, i, rho)
 
 
-def _k1(p, i, rho):
-    b1, _ = b_basic(p, i, rho)
-    return 0.5 * np.log2(b1 + 1.0)
-
-
-def _k2(p, i, rho):
-    j = _other(i)
-    b5j = _b5(p, j, rho)
-    return 0.5 * np.log2(1.0 + b5j) + 0.5 * np.log2(1.0 + _b4(p, i, rho) / (1.0 + b5j))
-
-
-def _k3(p, i, rho):
-    j = _other(i)
-    b4i = _b4(p, i, rho)
-    b5j = _b5(p, j, rho)
-    b1j_full, _ = b_basic(p, j, 1.0)
-    num = p.snr_bwd(j) * (b4i + b5j + 1.0)
-    den = (b1j_full + 1.0) * (b4i + 1.0)
-    return 0.5 * np.log2(num / den + 1.0) + 0.5 * np.log2(b4i + 1.0)
-
-
-def _k4(p, rho):
-    b1_2, _ = b_basic(p, 2, rho)
-    return 0.5 * np.log2(1.0 + _b4(p, 1, rho) / (1.0 + _b5(p, 2, rho))) + 0.5 * np.log2(b1_2 + 1.0)
-
-
-def _k5(p, rho):
-    b1_1, _ = b_basic(p, 1, rho)
-    return 0.5 * np.log2(1.0 + _b4(p, 2, rho) / (1.0 + _b5(p, 1, rho))) + 0.5 * np.log2(b1_1 + 1.0)
-
-
-def _fb_gain(p, i, rho):
-    # recurring factor: 1 + b5_i * snr_bwd_i / (b1_i(1) + 1)
-    b1_full, _ = b_basic(p, i, 1.0)
-    return 1.0 + _b5(p, i, rho) * p.snr_bwd(i) / (b1_full + 1.0)
-
-
-def _cross_feedback(p, i, rho):
-    # recurring factor: 1 + (b5_i / snr_i)(inr_ji + b3_i * snr_bwd_i / (b1_i(1) + 1))
-    b1_full, _ = b_basic(p, i, 1.0)
-    inner = p.inr(_other(i)) + _b3(p, i) * p.snr_bwd(i) / (b1_full + 1.0)
-    return 1.0 + (_b5(p, i, rho) / p.snr_fwd(i)) * inner
-
-
 def _b1_form(ev: EventPair, j: int) -> bool:
     """Whether user j's half takes the b1 form: the other user's scenario is 1, 2 or 5."""
     return (ev.l_2 if j == 1 else ev.l_1) in (1, 2, 5)
@@ -191,47 +152,54 @@ def _log2_or_minus_inf(arg):
     return np.log2(arg, out=np.full(arg.shape, -np.inf), where=arg > 0.0)
 
 
-def _half(p, j, b1_form, rho):
-    """H_j: user j's part of kappa_6 and of the other user's kappa_7."""
-    mix = _b5(p, 1, rho) * p.inr_21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
-    if b1_form:
-        b1_j, _ = b_basic(p, j, rho)
-        return 0.5 * _log2_or_minus_inf(b1_j + mix) + 0.5 * np.log2(_fb_gain(p, j, rho))
-    b6_j = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
-    snr_j = p.snr_fwd(j)
-    return (
-        0.5 * _log2_or_minus_inf(b6_j + (mix / snr_j) * (snr_j + _b3(p, j)))
-        + 0.5 * np.log2(_cross_feedback(p, j, rho))
-        - 0.5 * np.log2(1.0 + mix / snr_j)
-    )
-
-
-def _k7(p, i, half_j, rho):
-    j = _other(i)
-    b1_i, _ = b_basic(p, i, rho)
-    b5j = _b5(p, j, rho)
-    return (
-        0.5 * np.log2(b1_i + 1.0)
-        - 0.5 * math.log2(1.0 + p.inr(i))
-        + 0.5 * np.log2(1.0 + _b4(p, i, rho) + b5j)
-        - 0.5 * np.log2(1.0 + b5j)
-        + half_j
-        + 2.0 * LOG2_2PIE
-    )
-
-
 def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
-    """The eleven converse caps at rho, grouped by family in FAMILY_COEFFS order."""
-    h1 = _half(p, 1, _b1_form(ev, 1), rho)
-    h2 = _half(p, 2, _b1_form(ev, 2), rho)
-    k7 = (_k7(p, 1, h2, rho), _k7(p, 2, h1, rho))
-    k6 = h1 + h2 - 0.5 * math.log2(1.0 + p.inr_12) - 0.5 * math.log2(1.0 + p.inr_21) + LOG2_2PIE
+    """The eleven converse caps at rho, grouped by family in FAMILY_COEFFS order.
+
+    Every per-user term is evaluated once: b1_i(rho), b1_i(1) + 1, b4_i and
+    b5_i, then k1_i = kappa_1 of user i, l5_i = 1/2 log2(1 + b5_i) and
+    t_i = 1/2 log2(1 + b4_i / (1 + b5_j)).  kappa_2 of user i is l5_j + t_i,
+    kappa_4 is t_1 + k1_2 and kappa_5 is t_2 + k1_1.
+    """
+    users, pairs = (1, 2), ((1, 2), (2, 1))  # pairs: user i and the other user j
+    b1 = {i: b_basic(p, i, rho)[0] for i in users}
+    g = {i: b_basic(p, i, 1.0)[0] + 1.0 for i in users}  # b1_i(1) + 1
+    b4 = {i: _b4(p, i, rho) for i in users}
+    b5 = {i: _b5(p, i, rho) for i in users}
+    k1 = {i: 0.5 * np.log2(b1[i] + 1.0) for i in users}
+    l5 = {i: 0.5 * np.log2(1.0 + b5[i]) for i in users}
+    t = {i: 0.5 * np.log2(1.0 + b4[i] / (1.0 + b5[j])) for i, j in pairs}
+
+    # H_j, user j's part of kappa_6 and of the other user's kappa_7
+    mix = b5[1] * p.inr_21  # (1 - rho^2) * inr12 * inr21, symmetric in the users
+    h = {}
+    for j, i in pairs:
+        if _b1_form(ev, j):
+            fb_gain = 1.0 + b5[j] * p.snr_bwd(j) / g[j]
+            h[j] = 0.5 * _log2_or_minus_inf(b1[j] + mix) + 0.5 * np.log2(fb_gain)
+            continue
+        b6 = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
+        snr, b3 = p.snr_fwd(j), _b3(p, j)
+        cross_feedback = 1.0 + (b5[j] / snr) * (p.inr(i) + b3 * p.snr_bwd(j) / g[j])
+        h[j] = (
+            0.5 * _log2_or_minus_inf(b6 + (mix / snr) * (snr + b3))
+            + 0.5 * np.log2(cross_feedback)
+            - 0.5 * np.log2(1.0 + mix / snr)
+        )
+
+    inr_term = {i: 0.5 * math.log2(1.0 + p.inr(i)) for i in users}
+    k3, k7 = {}, {}
+    for i, j in pairs:
+        ratio = p.snr_bwd(j) * (b4[i] + b5[j] + 1.0) / (g[j] * (b4[i] + 1.0))
+        k3[i] = 0.5 * np.log2(ratio + 1.0) + 0.5 * np.log2(b4[i] + 1.0)
+        k7[i] = (k1[i] - inr_term[i] + 0.5 * np.log2(1.0 + b4[i] + b5[j]) - l5[j]
+                 + h[j] + 2.0 * LOG2_2PIE)
+    k6 = h[1] + h[2] - inr_term[1] - inr_term[2] + LOG2_2PIE
     return (
-        (_k1(p, 1, rho), _k2(p, 1, rho), _k3(p, 1, rho)),
-        (_k1(p, 2, rho), _k2(p, 2, rho), _k3(p, 2, rho)),
-        (_k4(p, rho), _k5(p, rho), k6),
-        (k7[0],),
+        (k1[1], l5[2] + t[1], k3[1]),
+        (k1[2], l5[1] + t[2], k3[2]),
+        (t[1] + k1[2], t[2] + k1[1], k6),
         (k7[1],),
+        (k7[2],),
     )
 
 
@@ -275,7 +243,8 @@ def family_caps(p: ChannelParameters, rho) -> np.ndarray:
 
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order.  Raises
     DegenerateChannelError when inr_12 * inr_21, a factor of the sum and
-    weighted caps, is not a finite float.
+    weighted caps, is not a finite float, and when a half H_j in the b6 form
+    meets a zero forward SNR of user j, which b6 divides by.
     """
     if not math.isfinite(p.inr_12 * p.inr_21):
         raise DegenerateChannelError(

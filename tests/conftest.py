@@ -14,6 +14,12 @@ def random_channels(n, seed, db_range=(-10.0, 60.0)):
     return out
 
 
+def swap_users(p):
+    """The channel with the two user labels exchanged."""
+    return ChannelParameters(p.snr_fwd_2, p.snr_fwd_1, p.inr_21, p.inr_12,
+                             p.snr_bwd_2, p.snr_bwd_1)
+
+
 @pytest.fixture
 def p_star():
     """Symmetric reference channel used throughout the suite."""

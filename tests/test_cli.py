@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,17 @@ import numpy as np
 import pytest
 
 from gicnof.cli import main, parse_range, CliError
+from test_converse import CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3
 
 GOLDEN = Path(__file__).parent / "golden"
 
 P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
           "snr_bwd_1": 10, "snr_bwd_2": 10, "units": "linear"}
+# the channels of sum-cap variants 1, 2 and 3, whose two halves H_1 and H_2
+# take the b1 form, the b1 and the b6 form, and the b6 and the b1 form; P_STAR
+# is variant 4
+K6_PARAMS = {n: {**dataclasses.asdict(p), "units": "linear"}
+             for n, p in ((1, CHANNEL_K6_1), (2, CHANNEL_K6_2), (3, CHANNEL_K6_3))}
 C_STAR = {"h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1, "h_bwd_11": 1, "h_bwd_22": 1}
 
 
@@ -131,7 +138,9 @@ class TestGolden:
 
     The files under tests/golden/ were captured before the bound formulas were
     collapsed onto the per-family caps arrays; a change that alters any of
-    them changes the numbers the CLI prints.
+    them changes the numbers the CLI prints.  The *_k6_* files, captured
+    before the converse caps were rewritten over shared per-user terms, pin
+    the channels whose two halves of the sum cap take different forms.
     """
 
     @pytest.mark.parametrize("golden, args", [
@@ -142,6 +151,17 @@ class TestGolden:
     def test_reference_channel(self, golden, args, params_file, capsysbinary):
         assert main(args + ["--params", params_file]) == 0
         assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("variant", sorted(K6_PARAMS))
+    @pytest.mark.parametrize("golden, args", [
+        ("gap_k6_{}.json", ["gap"]),
+        ("region_converse_k6_{}.csv", ["region", "--which", "converse"]),
+    ])
+    def test_sum_cap_variant_channel(self, golden, args, variant, tmp_path, capsysbinary):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(K6_PARAMS[variant]))
+        assert main(args + ["--params", str(params)]) == 0
+        assert capsysbinary.readouterr().out == (GOLDEN / golden.format(variant)).read_bytes()
 
     def test_sweep_30db(self, capsysbinary):
         assert main(["sweep", "--snr-db", "30", "--alpha", "0.5:1.0:0.25",

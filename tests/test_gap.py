@@ -24,7 +24,7 @@ from gicnof import (
 )
 from gicnof import achievability, converse, gap
 from gicnof.geometry import deflate
-from conftest import random_channels
+from conftest import random_channels, swap_users
 
 
 def as_oracle(p):
@@ -138,11 +138,6 @@ class TestExactGap:
 # of this channel, when the inner hull dropped a vertex on ulp twins
 JUMP_CHANNEL = ChannelParameters(0.12122018419010573, 25.61399884579352, 170320.30831363454,
                                  7677.2898242997735, 0.3410487701846778, 168.03138976708223)
-
-
-def swap_users(p):
-    return ChannelParameters(p.snr_fwd_2, p.snr_fwd_1, p.inr_21, p.inr_12,
-                             p.snr_bwd_2, p.snr_bwd_1)
 
 
 class TestGapProperties:

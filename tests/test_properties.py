@@ -1,6 +1,6 @@
 """Property tests of the vertex kernel on generated batches of family caps,
-and of the converse polytopes' vertices and the sandwich on generated
-channels."""
+and of the converse polytopes' vertices, the sandwich and the user swap of
+both caps arrays on generated channels."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from gicnof.geometry import (  # noqa: E402
     region_from_points,
     vertices_outside,
 )
+from conftest import swap_users  # noqa: E402
 
 COEFFS = achievability.FAMILY_COEFFS
 
@@ -106,3 +107,28 @@ def test_the_converse_raises_where_no_rho_is_feasible():
     p = ChannelParameters(*[0.01] * 6)
     with pytest.raises(DegenerateChannelError, match="no rho of the grid"):
         converse.converse_region(p)
+
+
+# swapping the user labels swaps the R1 and R2 families and the 2R1 + R2 and
+# R1 + 2R2 families, and keeps the sum family
+SWAPPED_FAMILIES = [1, 0, 2, 4, 3]
+
+
+def assert_same_caps(swapped, caps):
+    finite = np.isfinite(caps)
+    assert np.array_equal(np.isfinite(swapped), finite)
+    assert np.array_equal(swapped[~finite], caps[~finite], equal_nan=True)
+    np.testing.assert_allclose(swapped[finite], caps[finite], rtol=1e-12, atol=0.0)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_swapping_the_users_permutes_both_caps_arrays(db):
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
+    assert_same_caps(converse.family_caps(swap_users(p), rho),
+                     converse.family_caps(p, rho)[SWAPPED_FAMILIES])
+    # (family, rho, mu1, mu2): the two users' power splits change places too
+    inner = achievability.grid_caps(p, achievability.DEFAULT_GRID)[1]
+    assert_same_caps(achievability.grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
+                     inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
