@@ -65,17 +65,26 @@ def _other(i: int) -> int:
     return 2 if i == 1 else 1
 
 
-def _require_positive_inrs(p: ChannelParameters) -> None:
+def _require_defined(p: ChannelParameters) -> None:
+    """DegenerateChannelError for a zero INR, and for a product the caps
+    form beyond the float range: snr_i * inr_i (b1's cross term) or
+    snr_bwd_i * (inr_i + 1) (a3's feedback power at rho = 0)."""
     if p.inr_12 <= 0.0 or p.inr_21 <= 0.0:
         raise DegenerateChannelError(
             "inner bound is undefined for zero INR "
             f"(inr_12={p.inr_12}, inr_21={p.inr_21})"
         )
+    for i in (1, 2):
+        snr, inr, fb = p.snr_fwd(i), p.inr(i), p.snr_bwd(i)
+        if not (math.isfinite(snr * inr) and math.isfinite(fb * (inr + 1.0))):
+            raise DegenerateChannelError(
+                "inner bound is undefined for a power product beyond the float range "
+                f"(snr_fwd_{i}={snr!r}, inr_{i}{_other(i)}={inr!r}, snr_bwd_{i}={fb!r})")
 
 
 def rho_domain_sup(p: ChannelParameters) -> float:
     """Upper end of the admissible input-correlation interval."""
-    _require_positive_inrs(p)
+    _require_defined(p)
     return max(0.0, 1.0 - max(1.0 / p.inr_12, 1.0 / p.inr_21))
 
 
@@ -95,7 +104,7 @@ def b_basic(p: ChannelParameters, i: int, rho):
 def _private_ratio(p: ChannelParameters, i: int) -> float:
     # received private-stream SNR with the private power capped at the unit
     # power constraint: snr_i * min(1, 1/inr_ji)
-    _require_positive_inrs(p)
+    _require_defined(p)
     return p.snr_fwd(i) / max(1.0, p.inr(_other(i)))
 
 

@@ -24,13 +24,18 @@ import numpy as np
 INPUT_MODES = ("independent", "fully-correlated")
 
 
-def _require_finite_nonneg(name: str, value: float) -> None:
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+class _FiniteNonnegative:
+    """Base of the six-field records: every field finite and >= 0."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
-class ChannelCoefficients:
+class ChannelCoefficients(_FiniteNonnegative):
     """Amplitude gains of the six links (all dimensionless, >= 0)."""
 
     h_fwd_11: float  # transmitter 1 -> receiver 1
@@ -40,13 +45,9 @@ class ChannelCoefficients:
     h_bwd_11: float  # receiver 1 output -> transmitter 1
     h_bwd_22: float  # receiver 2 output -> transmitter 2
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_finite_nonneg(f.name, getattr(self, f.name))
-
 
 @dataclass(frozen=True)
-class ChannelParameters:
+class ChannelParameters(_FiniteNonnegative):
     """The six-parameter description of the channel, in linear power ratios.
 
     inr_12 is the interference-to-noise ratio at receiver 1 (caused by
@@ -59,10 +60,6 @@ class ChannelParameters:
     inr_21: float
     snr_bwd_1: float
     snr_bwd_2: float
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            _require_finite_nonneg(f.name, getattr(self, f.name))
 
     def snr_fwd(self, i: int) -> float:
         return self.snr_fwd_1 if i == 1 else self.snr_fwd_2
@@ -224,23 +221,14 @@ def simulate_block(c: ChannelCoefficients, cfg: SimulationConfig) -> SignalBlock
     n, d = cfg.block_length, cfg.delay
 
     if cfg.input_mode == "fully-correlated":
-        x = _unit_power(rng.standard_normal(n))
-        x_1 = x
-        x_2 = x.copy()
-    else:
         x_1 = _unit_power(rng.standard_normal(n))
-        x_2 = _unit_power(rng.standard_normal(n))
-
-    z_fwd_1 = rng.standard_normal(n)
-    z_fwd_2 = rng.standard_normal(n)
-    z_bwd_1 = rng.standard_normal(n)
-    z_bwd_2 = rng.standard_normal(n)
+        x_2 = x_1.copy()
+    else:
+        x_1, x_2 = (_unit_power(rng.standard_normal(n)) for _ in range(2))
+    z_fwd_1, z_fwd_2, y_bwd_1, y_bwd_2 = (rng.standard_normal(n) for _ in range(4))
 
     y_fwd_1 = c.h_fwd_11 * x_1 + c.h_12 * x_2 + z_fwd_1
     y_fwd_2 = c.h_fwd_22 * x_2 + c.h_21 * x_1 + z_fwd_2
-
-    y_bwd_1 = z_bwd_1.copy()
-    y_bwd_2 = z_bwd_2.copy()
     y_bwd_1[d:] += c.h_bwd_11 * y_fwd_1[:-d]
     y_bwd_2[d:] += c.h_bwd_22 * y_fwd_2[:-d]
 
@@ -276,30 +264,18 @@ def estimate_parameters(
 
     x_1 = np.concatenate([b.x_1 for b in blocks])
     x_2 = np.concatenate([b.x_2 for b in blocks])
-    fb_1 = np.concatenate([b.y_bwd_1[delay:] for b in blocks])
-    fb_2 = np.concatenate([b.y_bwd_2[delay:] for b in blocks])
-
-    snr_1, se_snr_1 = _var_and_stderr(c.h_fwd_11 * x_1)
-    snr_2, se_snr_2 = _var_and_stderr(c.h_fwd_22 * x_2)
-    inr_12, se_inr_12 = _var_and_stderr(c.h_12 * x_2)
-    inr_21, se_inr_21 = _var_and_stderr(c.h_21 * x_1)
-    var_fb_1, se_fb_1 = _var_and_stderr(fb_1)
-    var_fb_2, se_fb_2 = _var_and_stderr(fb_2)
-
-    params = ChannelParameters(
-        snr_fwd_1=snr_1,
-        snr_fwd_2=snr_2,
-        inr_12=inr_12,
-        inr_21=inr_21,
-        snr_bwd_1=max(var_fb_1 - 1.0, 0.0),
-        snr_bwd_2=max(var_fb_2 - 1.0, 0.0),
+    stats = {name: _var_and_stderr(samples) for name, samples in (
+        ("snr_fwd_1", c.h_fwd_11 * x_1),
+        ("snr_fwd_2", c.h_fwd_22 * x_2),
+        ("inr_12", c.h_12 * x_2),
+        ("inr_21", c.h_21 * x_1),
+        ("snr_bwd_1", np.concatenate([b.y_bwd_1[delay:] for b in blocks])),
+        ("snr_bwd_2", np.concatenate([b.y_bwd_2[delay:] for b in blocks])),
+    )}
+    for name in ("snr_bwd_1", "snr_bwd_2"):
+        var, se = stats[name]
+        stats[name] = max(var - 1.0, 0.0), se
+    return ParameterEstimate(
+        params=ChannelParameters(**{name: est for name, (est, _) in stats.items()}),
+        stderr=ChannelParameters(**{name: se for name, (_, se) in stats.items()}),
     )
-    stderr = ChannelParameters(
-        snr_fwd_1=se_snr_1,
-        snr_fwd_2=se_snr_2,
-        inr_12=se_inr_12,
-        inr_21=se_inr_21,
-        snr_bwd_1=se_fb_1,
-        snr_bwd_2=se_fb_2,
-    )
-    return ParameterEstimate(params=params, stderr=stderr)

@@ -677,8 +677,6 @@ def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:
     coeffs = np.array([[b.c1, b.c2] for b in poly.bounds])
     rhs = np.array([[b.rhs] for b in poly.bounds])
     pts, _ = batch_vertices(coeffs, rhs)
-    if pts.shape[0] == 0:
-        return np.empty((0, 2))
     return convex_hull(np.round(pts, 12))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gicnof import ChannelParameters, DegenerateChannelError, exact_gap
 from gicnof.cli import main, parse_range, CliError
 from test_converse import CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3
 
@@ -21,6 +22,8 @@ P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
 K6_PARAMS = {n: {**dataclasses.asdict(p), "units": "linear"}
              for n, p in ((1, CHANNEL_K6_1), (2, CHANNEL_K6_2), (3, CHANNEL_K6_3))}
 C_STAR = {"h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1, "h_bwd_11": 1, "h_bwd_22": 1}
+C_ASYM = {"h_fwd_11": 1.3, "h_fwd_22": 0.7, "h_12": 0.4, "h_21": 1.1,
+          "h_bwd_11": 0.9, "h_bwd_22": 0.2}
 
 
 def run_gicnof(*args):
@@ -140,7 +143,10 @@ class TestGolden:
     collapsed onto the per-family caps arrays; a change that alters any of
     them changes the numbers the CLI prints.  The *_k6_* files, captured
     before the converse caps were rewritten over shared per-user terms, pin
-    the channels whose two halves of the sum cap take different forms.
+    the channels whose two halves of the sum cap take different forms.  The
+    simulate_*.json files, captured before the channel model was rewritten
+    over one nonnegativity rule and one estimator map, pin the generator's
+    draw order and the estimator's fields on gains no two of which are equal.
     """
 
     @pytest.mark.parametrize("golden, args", [
@@ -162,6 +168,14 @@ class TestGolden:
         params.write_text(json.dumps(K6_PARAMS[variant]))
         assert main(args + ["--params", str(params)]) == 0
         assert capsysbinary.readouterr().out == (GOLDEN / golden.format(variant)).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["independent", "correlated"])
+    def test_simulate_asymmetric_gains(self, mode, tmp_path, capsysbinary):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(C_ASYM))
+        assert main(["simulate", "--coeffs", str(coeffs), "--samples", "2000",
+                     "--seed", "9", "--mode", mode]) == 0
+        assert capsysbinary.readouterr().out == (GOLDEN / f"simulate_{mode}.json").read_bytes()
 
     def test_sweep_30db(self, capsysbinary):
         assert main(["sweep", "--snr-db", "30", "--alpha", "0.5:1.0:0.25",
@@ -296,3 +310,22 @@ class TestExitCodes:
         assert done.returncode == 2 and done.stdout == "", done.stderr
         assert done.stderr == ("degenerate channel: converse bound is undefined: no rho of"
                                " the grid gives a polytope containing the origin\n")
+
+    # a product the inner caps form beyond the float range: snr_bwd_1 *
+    # (inr_12 + 1), and snr_fwd_2 * inr_21
+    @pytest.mark.parametrize("channel, reason", [
+        (ChannelParameters(1e4, 1e4, 1e150, 1.0, 1e300, 1e300),
+         "(snr_fwd_1=10000.0, inr_12=1e+150, snr_bwd_1=1e+300)"),
+        (ChannelParameters(1e150, 1e150, 1e-30, 1e200, 1e-3, 1e-3),
+         "(snr_fwd_2=1e+150, inr_21=1e+200, snr_bwd_2=0.001)"),
+    ], ids=["feedback_power", "cross_term"])
+    def test_inner_power_product_overflow_exits_2(self, channel, reason, tmp_path):
+        line = f"inner bound is undefined for a power product beyond the float range {reason}"
+        with pytest.raises(DegenerateChannelError) as exc:
+            exact_gap(channel)
+        assert str(exc.value) == line
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**dataclasses.asdict(channel), "units": "linear"}))
+        done = run_gicnof("gap", "--params", str(params))
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr == f"degenerate channel: {line}\n"
