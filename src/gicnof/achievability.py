@@ -35,6 +35,12 @@ none of its points is a hull vertex, the farthest point of a quickhull
 step, or the largest R1 or R2.  The vertices of the polytopes left go to
 the hull with no dominance prefilter, and the region is bit for bit the one
 the unpruned sweep gives.
+
+The walked vertices strictly inside the chain, most of them, are dropped
+before the hull (geometry.strictly_inside), by the same argument.  The
+symmetric sweep builds the clouds of a run of cells together
+(run_inner_clouds), with one vertex batch for all their coarse clouds;
+inner_cloud is the one-cell run.
 """
 
 from __future__ import annotations
@@ -50,8 +56,10 @@ from .geometry import (
     Region,
     batch_vertices,
     discard_strictly_dominated,
+    group_rows,
     pareto_vertices,
     region_from_points,
+    strictly_inside,
     vertices_outside,
 )
 
@@ -234,10 +242,27 @@ def parameter_grids(p: ChannelParameters, grid: GridSpec):
     return rho[:, None, None], mu[None, :, None], mu[None, None, :]
 
 
+SLAB_BYTES = 128 * 1024  # grid_caps' budget for one (rho, mu1, mu2) temporary of family_caps
+
+
 def grid_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter grid's 1-D correlation axis, and family_caps over the grid."""
-    axes = parameter_grids(p, grid)
-    return axes[0].ravel(), family_caps(p, *axes)
+    """The parameter grid's 1-D correlation axis, and family_caps over the grid.
+
+    The caps are made over slabs of rho, each one family_caps call, so that
+    each temporary array of a call holds at most SLAB_BYTES (at least one
+    rho); a grid that fits in one slab, as the default one does, is one
+    call.  family_caps is elementwise, so the slabs' caps are the whole
+    grid's, bit for bit, and the temporaries stay small enough to be reused
+    from the allocator's free memory rather than mapped in afresh.
+    """
+    rho, mu1, mu2 = parameter_grids(p, grid)
+    step = max(1, SLAB_BYTES // (8 * mu1.size * mu2.size))
+    if rho.size <= step:
+        return rho.ravel(), family_caps(p, rho, mu1, mu2)
+    caps = np.empty((5, rho.size, mu1.size, mu2.size))
+    for s in range(0, rho.size, step):
+        caps[:, s:s + step] = family_caps(p, rho[s:s + step], mu1, mu2)
+    return rho.ravel(), caps
 
 
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
@@ -283,11 +308,22 @@ def _coarse(n: int) -> np.ndarray:
     return np.unique(np.r_[0:n:COARSE_STRIDE, n - 1])
 
 
+def _coarse_clouds(caps, anchors) -> list[np.ndarray]:
+    """_coarse_cloud of each cell of a run, whose family caps arrays caps
+    share one shape, from one batch_vertices call over every cell's coarse
+    sub-grid; a polytope's vertices depend on its own caps alone, so each
+    cell's are the ones a call for it alone gives, in the same order."""
+    sub = np.ix_(range(5), *map(_coarse, caps[0].shape[1:]))
+    coarse = np.stack([c[sub] for c in caps], axis=1)  # (5, cells) + sub-grid
+    pts, column = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
+    per_cell = coarse[0, 0].size
+    return [np.vstack([v, a])
+            for v, a in zip(group_rows(pts, column // per_cell, len(caps)), anchors)]
+
+
 def _coarse_cloud(caps: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """The vertices of the coarse sub-grid's polytopes, and the anchors."""
-    coarse = caps[np.ix_(range(5), *map(_coarse, caps.shape[1:]))]
-    pts, _ = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
-    return np.vstack([pts, anchors])
+    return _coarse_clouds([caps], [anchors])[0]
 
 
 def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -311,30 +347,47 @@ def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(chain[-1, 0]), chain[:, 0], chain[:, 1]
 
 
+def run_inner_clouds(ps, caps) -> list[np.ndarray]:
+    """inner_cloud of each cell of a run, in order: ps the channels and caps
+    their family caps arrays, all of one shape, as grid_caps gives them for
+    the cells of one alpha row of the symmetric surface.
+
+    The coarse clouds of the whole run are one batch_vertices call
+    (_coarse_clouds).  The chain, the prune and the walk are made cell by
+    cell: a prune over the whole run's columns was slower per cell, its
+    arrays too large for the cache.  Each cloud is the one inner_cloud gives
+    for its cell alone.
+    """
+    anchors = [single_user_anchors(p) for p in ps]
+    clouds = []
+    for c, a, coarse in zip(caps, anchors, _coarse_clouds(caps, anchors)):
+        chain = _fan_chain(coarse)
+        pts, _ = vertices_outside(FAMILY_COEFFS, c.reshape(5, -1), chain)
+        pts = np.vstack([pts[~strictly_inside(pts, chain)], a])
+        # a strictly dominated point v >= 0 lies in the box between the origin
+        # and its dominator, inside the hull of the anchored cloud (the origin
+        # and the axis projections of the extremes), so it is no hull vertex and
+        # the prefilter changes nothing; a point with a coordinate below zero,
+        # from a cap in [-FEASIBILITY_TOL, 0), can be one, and there the
+        # prefilter drops it as the unpruned sweep does
+        clouds.append(discard_strictly_dominated(pts) if np.any(pts < 0.0) else pts)
+    return clouds
+
+
 def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     """The points whose hull, with the origin and the axis projections of
     their extremes, is the inner region of the family caps caps, of shape
-    (5, n_rho, n_mu, n_mu).
+    (5, n_rho, n_mu, n_mu): the one-cell run of run_inner_clouds.
 
     The vertices of a coarse sub-grid and the single-user corners lie in
     the region, and so does the chain of their extreme points in a fan of
     directions (_fan_chain).  The one test of geometry.vertices_outside
     leaves out polytopes strictly inside that chain, which can hold no hull
-    vertex, and only the others are walked.  Their vertices and the corners
-    are the cloud, in walk order, since a hull depends on the set of its
-    points alone
-    (geometry.convex_hulls); only a cloud with a coordinate below zero still
-    passes the dominance prefilter.  The hull is the one the unpruned sweep
-    gives.
+    vertex, and only the others are walked.  Their vertices, less those
+    strictly inside the chain (geometry.strictly_inside: most of them), and
+    the corners are the cloud, in walk order, since a hull depends on the
+    set of its points alone (geometry.convex_hulls); only a cloud with a
+    coordinate below zero still passes the dominance prefilter.  The hull
+    is the one the unpruned sweep gives.
     """
-    anchors = single_user_anchors(p)
-    chain = _fan_chain(_coarse_cloud(caps, anchors))
-    pts, _ = vertices_outside(FAMILY_COEFFS, caps.reshape(5, -1), chain)
-    pts = np.vstack([pts, anchors])
-    # a strictly dominated point v >= 0 lies in the box between the origin
-    # and its dominator, inside the hull of the anchored cloud (the origin
-    # and the axis projections of the extremes), so it is no hull vertex and
-    # the prefilter changes nothing; a point with a coordinate below zero,
-    # from a cap in [-FEASIBILITY_TOL, 0), can be one, and there the
-    # prefilter drops it as the unpruned sweep does
-    return discard_strictly_dominated(pts) if np.any(pts < 0.0) else pts
+    return run_inner_clouds([p], [caps])[0]

@@ -29,6 +29,14 @@ is reached at one of them, and the gap is the envelope's.  Both raise
 DegenerateChannelError when no rho of the grid gives a polytope containing
 the origin: the bounds then exclude a rate pair every channel achieves.
 
+The caps, the feasible columns and their vertices are computed for a run:
+channels with the same forward SNRs and INRs, as the cells of one alpha row
+of the symmetric surface are, which share the event pair and every term
+but the feedback SNRs.  run_family_caps evaluates the caps once for the
+run, and run_converse_vertices enumerates the vertices of every feasible
+column of the run in one batch_vertices call.  family_caps, kappa,
+converse_region and converse_vertices are the one-channel run.
+
 The kappa_6 / kappa_7 cap definitions include additive log2(2*pi*e) and
 2*log2(2*pi*e) constants.  They are kept verbatim even though they loosen
 these caps at low SNR; formula fidelity wins over editorial judgment.
@@ -49,6 +57,7 @@ from .geometry import (
     Region,
     batch_vertices,
     envelope_union,
+    group_rows,
 )
 from .achievability import FAMILY_COEFFS, _least_of_each, _other, b_basic
 
@@ -152,8 +161,16 @@ def _log2_or_minus_inf(arg):
     return np.log2(arg, out=np.full(arg.shape, -np.inf), where=arg > 0.0)
 
 
-def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
-    """The eleven converse caps at rho, grouped by family in FAMILY_COEFFS order.
+def _caps_by_family(ps, rho, ev: EventPair):
+    """The eleven converse caps at rho of each channel of a run ps, grouped
+    by family in FAMILY_COEFFS order.
+
+    The channels share their forward SNRs and INRs, read from ps[0]
+    (run_family_caps checks it), and differ in their feedback SNRs, which
+    enter as arrays of shape (len(ps),) + (1,) * rho.ndim in three places:
+    the b1 form's feedback gain, the b6 form's cross-feedback factor and
+    kappa_3's ratio.  A cap with a feedback term has shape
+    (len(ps),) + rho.shape, any other the shape of rho.
 
     Every per-user term is evaluated once: b1_i(rho), b1_i(1) + 1, b4_i and
     b5_i, then k1_i = kappa_1 of user i, l5_i = 1/2 log2(1 + b5_i) and
@@ -161,6 +178,8 @@ def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
     kappa_4 is t_1 + k1_2 and kappa_5 is t_2 + k1_1.
     """
     users, pairs = (1, 2), ((1, 2), (2, 1))  # pairs: user i and the other user j
+    p, cell = ps[0], (-1,) + (1,) * np.ndim(rho)
+    fb = {i: np.reshape([q.snr_bwd(i) for q in ps], cell) for i in users}
     b1 = {i: b_basic(p, i, rho)[0] for i in users}
     g = {i: b_basic(p, i, 1.0)[0] + 1.0 for i in users}  # b1_i(1) + 1
     b4 = {i: _b4(p, i, rho) for i in users}
@@ -174,12 +193,12 @@ def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
     h = {}
     for j, i in pairs:
         if _b1_form(ev, j):
-            fb_gain = 1.0 + b5[j] * p.snr_bwd(j) / g[j]
+            fb_gain = 1.0 + b5[j] * fb[j] / g[j]
             h[j] = 0.5 * _log2_or_minus_inf(b1[j] + mix) + 0.5 * np.log2(fb_gain)
             continue
         b6 = _b6(p, j, rho)  # raises for a zero forward SNR before it is divided by
         snr, b3 = p.snr_fwd(j), _b3(p, j)
-        cross_feedback = 1.0 + (b5[j] / snr) * (p.inr(i) + b3 * p.snr_bwd(j) / g[j])
+        cross_feedback = 1.0 + (b5[j] / snr) * (p.inr(i) + b3 * fb[j] / g[j])
         h[j] = (
             0.5 * _log2_or_minus_inf(b6 + (mix / snr) * (snr + b3))
             + 0.5 * np.log2(cross_feedback)
@@ -189,7 +208,7 @@ def _caps_by_family(p: ChannelParameters, rho, ev: EventPair):
     inr_term = {i: 0.5 * math.log2(1.0 + p.inr(i)) for i in users}
     k3, k7 = {}, {}
     for i, j in pairs:
-        ratio = p.snr_bwd(j) * (b4[i] + b5[j] + 1.0) / (g[j] * (b4[i] + 1.0))
+        ratio = fb[j] * (b4[i] + b5[j] + 1.0) / (g[j] * (b4[i] + 1.0))
         k3[i] = 0.5 * np.log2(ratio + 1.0) + 0.5 * np.log2(b4[i] + 1.0)
         k7[i] = (k1[i] - inr_term[i] + 0.5 * np.log2(1.0 + b4[i] + b5[j]) - l5[j]
                  + h[j] + 2.0 * LOG2_2PIE)
@@ -223,7 +242,7 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     (k1_1, k2_1, k3_1), (k1_2, k2_2, k3_2), (k4, k5, k6), (k7_1,), (k7_2,) = (
-        [float(v) for v in family] for family in _caps_by_family(p, rho, ev)
+        [np.asarray(v).item() for v in family] for family in _caps_by_family([p], rho, ev)
     )
     return KappaValues(
         k1=(k1_1, k1_2),
@@ -238,35 +257,59 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
     )
 
 
-def family_caps(p: ChannelParameters, rho) -> np.ndarray:
-    """Binding converse cap per bound family; rho may be an array.
+def _forward(p: ChannelParameters) -> tuple:
+    return p.snr_fwd_1, p.snr_fwd_2, p.inr_12, p.inr_21
 
-    Returns shape (5,) + rho.shape in FAMILY_COEFFS order.  Raises
-    DegenerateChannelError when inr_12 * inr_21, a factor of the sum and
-    weighted caps, is not a finite float, and when a half H_j in the b6 form
-    meets a zero forward SNR of user j, which b6 divides by.
+
+def run_family_caps(ps, rho) -> np.ndarray:
+    """family_caps of each channel of a run, from one evaluation of the caps.
+
+    A run ps is a nonempty sequence of channels with the same forward SNRs
+    and INRs (ValueError otherwise), as the cells of one alpha row of the
+    symmetric surface are: they share the event pair and every term but the
+    feedback SNRs.  Returns shape (5, len(ps)) + rho.shape, and
+    run_family_caps(ps, rho)[:, c] is family_caps(ps[c], rho) bit for bit.
+    Raises DegenerateChannelError as family_caps does.
     """
+    p = ps[0]
+    if any(_forward(q) != _forward(p) for q in ps):
+        raise ValueError("the channels of a run must share their forward SNRs and INRs")
     if not math.isfinite(p.inr_12 * p.inr_21):
         raise DegenerateChannelError(
             f"converse bound is undefined for an INR product beyond the float range "
             f"(inr_12={p.inr_12!r}, inr_21={p.inr_21!r})")
     rho = np.asarray(rho, float)
-    return _least_of_each(_caps_by_family(p, rho, classify_events(p)), rho.shape)
+    return _least_of_each(_caps_by_family(ps, rho, classify_events(p)), (len(ps),) + rho.shape)
 
 
-def _feasible_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The family caps on the correlation grid of the nonempty polytopes
-    only, one column per rho (caps all finite and >= -FEASIBILITY_TOL), and
-    their vertices.  Raises DegenerateChannelError when there is none."""
+def family_caps(p: ChannelParameters, rho) -> np.ndarray:
+    """Binding converse cap per bound family; rho may be an array.
+
+    Returns shape (5,) + rho.shape in FAMILY_COEFFS order: the one-channel
+    run of run_family_caps.  Raises DegenerateChannelError when
+    inr_12 * inr_21, a factor of the sum and weighted caps, is not a finite
+    float, and when a half H_j in the b6 form meets a zero forward SNR of
+    user j, which b6 divides by.
+    """
+    return run_family_caps([p], rho)[:, 0]
+
+
+_INFEASIBLE = ("converse bound is undefined: no rho of the grid gives a polytope "
+               "containing the origin")
+
+
+def _run_feasible(ps, grid: GridSpec):
+    """The family caps of a run's nonempty polytopes on the correlation
+    grid (caps all finite and >= -FEASIBILITY_TOL), one column per
+    (channel, rho) in that order, the channel of each column, and their
+    vertices and the column of each, from one batch_vertices call."""
     if grid.rho_points < 2:
         raise ValueError("the converse rho grid needs at least 2 points")
-    caps = family_caps(p, np.linspace(0.0, 1.0, grid.rho_points))  # (5, n_rho)
-    caps = caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
-    if caps.shape[1] == 0:
-        raise DegenerateChannelError("converse bound is undefined: no rho of the "
-                                     "grid gives a polytope containing the origin")
-    pts, _ = batch_vertices(FAMILY_COEFFS, caps)
-    return caps, pts
+    caps = run_family_caps(ps, np.linspace(0.0, 1.0, grid.rho_points))  # (5, cells, n_rho)
+    feasible = np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)
+    caps = caps[:, feasible]
+    pts, column = batch_vertices(FAMILY_COEFFS, caps)
+    return caps, np.nonzero(feasible)[0], pts, column
 
 
 def _reach(caps: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -285,7 +328,9 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     points.  Raises DegenerateChannelError when no rho of the grid gives a
     polytope containing the origin.
     """
-    caps, pts = _feasible_caps(p, grid)
+    caps, _, pts, _ = _run_feasible([p], grid)
+    if caps.shape[1] == 0:
+        raise DegenerateChannelError(_INFEASIBLE)
     # the frontier is the least (cap_k - c1 R1) / c2 over c2 > 0, up to the R1 reach
     c1, c2 = FAMILY_COEFFS.T
     reach = _reach(caps, c1)
@@ -300,11 +345,34 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     return envelope_union(r1_grid, frontier, vertices=pts)
 
 
+def run_converse_vertices(ps, grid: GridSpec = DEFAULT_GRID) -> list:
+    """converse_vertices of each channel of a run (run_family_caps), in order:
+    its (vertices, start), or, for a channel with no feasible rho, the
+    DegenerateChannelError that converse_vertices raises for it.
+
+    The caps are evaluated once for the run, and the vertices of every
+    feasible column of the run come from one batch_vertices call.  A
+    polytope's vertices depend on its own caps alone, so each channel's are
+    the ones a call for it alone gives, in the same order.  Errors that hold
+    for the whole run, such as DegenerateChannelError for an INR product
+    beyond the float range, are raised.
+    """
+    caps, cell, pts, column = _run_feasible(ps, grid)
+    c1, c2 = FAMILY_COEFFS.T
+    start = np.full(len(ps), -np.inf)
+    np.maximum.at(start, cell, np.maximum(_reach(caps, c1), _reach(caps, c2)))
+    np.maximum.at(start, cell[column], np.round(pts, 12).max(axis=1))
+    feasible = np.bincount(cell, minlength=len(ps)) > 0
+    return [(v, float(s)) if ok else DegenerateChannelError(_INFEASIBLE)
+            for v, s, ok in zip(group_rows(pts, cell[column], len(ps)), start, feasible)]
+
+
 def converse_vertices(p: ChannelParameters,
                       grid: GridSpec = DEFAULT_GRID) -> tuple[np.ndarray, float]:
     """The vertices of every nonempty per-rho polytope, and the start of the
     deflation's bisection: geometry.deflate(inner, *converse_vertices(p, grid))
-    is deflation_gap(inner, converse_region(p, grid)), with no frontier.
+    is deflation_gap(inner, converse_region(p, grid)), with no frontier.  It
+    is the one-channel run of run_converse_vertices.
 
     The deflation xi(q) is convex and nondecreasing in q (every facet normal
     of the inner closure is nonnegative), so its largest value over the
@@ -317,7 +385,7 @@ def converse_vertices(p: ChannelParameters,
     that the two bisections start at the same float.  Raises
     DegenerateChannelError as converse_region does.
     """
-    caps, pts = _feasible_caps(p, grid)
-    c1, c2 = FAMILY_COEFFS.T
-    start = max(_reach(caps, c1).max(), _reach(caps, c2).max(), np.round(pts, 12).max())
-    return pts, float(start)
+    (got,) = run_converse_vertices([p], grid)
+    if isinstance(got, DegenerateChannelError):
+        raise got
+    return got

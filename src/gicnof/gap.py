@@ -148,32 +148,63 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     """The gap of each cell (alpha, beta) of a run of one alpha row, or the
     reason a DegenerateChannelError gave for it, in beta order.
 
-    A run is built in three steps: each cell's inner cloud
-    (achievability.inner_cloud, its caps dropped once it is made) and its
-    converse polytopes' vertices (converse.converse_vertices), then one
-    batch of hulls for the run (geometry.regions_from_points), then each
-    cell's deflation gap from the vertices (geometry.deflate), which is
-    deflation_gap's over the converse envelope, with no frontier built.
-    The first step raises DegenerateChannelError for a zero INR (the inner
-    cloud), an overflowing INR product or no feasible rho (the converse),
-    and the cell is then left out; the deflation raises no such error.  Any
+    The cells of a run share their forward SNRs and INRs, and so their
+    event pair and their rho grids; beta moves only the feedback SNR.  So
+    each stage is made once for the run, not once per cell:
+      1. each cell's inner parameter grid (achievability.parameter_grids),
+         whose guard raises for a zero INR or an overflowing power product;
+      2. the converse vertices of the cells left
+         (converse.run_converse_vertices): one evaluation of the caps and
+         one batch_vertices call, with a DegenerateChannelError for each
+         cell with no feasible rho, or for all of them when their INR
+         product overflows;
+      3. the inner family caps of the cells left (achievability.grid_caps)
+         and their inner clouds (achievability.run_inner_clouds): one
+         batch_vertices call for all their coarse clouds, then each cell's
+         chain, prune and walk;
+      4. one batch of hulls (geometry.regions_from_points), then each cell's
+         deflation gap from its converse vertices (geometry.deflate), which
+         is deflation_gap's over the converse envelope, with no frontier.
+    A cell is left out with the reason of the first step that raises for
+    it, the inner one before the converse one, as exact_gap raises them;
+    the other cells still get their gaps, each
+    deflation_gap(*regions(p, grid, converse_grid)).gap bit for bit.  Any
     other exception propagates.
     """
-    out, cells, clouds = [None] * len(betas), [], []
+    out, cells, ps = [None] * len(betas), [], []
     for ib, beta in enumerate(betas):
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
-        try:  # the caps are dropped as soon as the cloud is made
-            cloud = achievability.inner_cloud(p, achievability.grid_caps(p, grid)[1])
-            outer = converse.converse_vertices(p, converse_grid)
+        try:
+            achievability.parameter_grids(p, grid)
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
             continue
-        clouds.append(cloud)
-        cells.append((ib, outer))
-    for (ib, outer), inner in zip(cells, regions_from_points(clouds, grid.frontier_samples)):
+        cells.append(ib)
+        ps.append(p)
+    if not cells:
+        return out
+    try:
+        outers = converse.run_converse_vertices(ps, converse_grid)
+    except DegenerateChannelError as exc:
+        outers = [exc] * len(cells)
+    live = []
+    for ib, p, outer in zip(cells, ps, outers):
+        if isinstance(outer, DegenerateChannelError):
+            out[ib] = str(outer)
+        else:
+            live.append((ib, p, outer))
+    if not live:
+        return out
+    ps = [p for _, p, _ in live]
+    clouds = achievability.run_inner_clouds(ps, [achievability.grid_caps(p, grid)[1] for p in ps])
+    for (ib, _, outer), inner in zip(live, regions_from_points(clouds, grid.frontier_samples)):
         out[ib] = deflate(inner, *outer).gap
     return out
 
+
+# the inner family caps a run of the sweep may hold, 8 bytes per family and
+# grid point per cell: 5 cells at the default inner grid
+RUN_BYTES = 2 * 1024 * 1024
 
 _POOL = None  # this process's ProcessPoolExecutor
 
@@ -241,20 +272,28 @@ def sweep_symmetric(
     float, and cells where no rho of the converse grid gives a polytope
     containing the origin.  Each cell's gap is
     deflation_gap(*regions(p, grid, converse_grid)).gap, taken from the
-    converse polytopes' vertices (converse.converse_vertices) without the
+    converse polytopes' vertices (converse.run_converse_vertices) without the
     envelope that converse_region builds for exact_gap and the region command.
-    The cells are cut into runs in row-major order (_sweep_chunk): one alpha
-    row each, or, when there are fewer rows than CPUs, even parts of each
-    row.  The runs go to a persistent pool of one forked worker process per
-    CPU of the affinity mask, or are run in this process when there is one
-    run, one CPU or no fork.  Each cell's gap is the same either way.
+    The cells are cut into runs in row-major order (_sweep_chunk): even
+    parts of each alpha row, as few as give every CPU a run and keep each
+    run's inner family caps within RUN_BYTES (5 cells at the default inner
+    grid; a run of more cells is no faster per cell, and holds more
+    memory).  The cells of a run share their forward ratios, so each stage
+    of the gap whose cost is mostly fixed per call is made once per run:
+    the converse caps and vertices, the coarse clouds and the hulls.  The
+    runs go to a persistent pool of one forked worker process per CPU of
+    the affinity mask, or are run in this process when there is one run,
+    one CPU or no fork.  Each cell's gap is the same either way, and the
+    same as a run of it alone gives.
     """
     alpha_grid = np.asarray(alpha_grid, float)
     beta_grid = np.asarray(beta_grid, float)
     gaps = np.full((alpha_grid.size, beta_grid.size), np.nan)
     missing: dict = {}
     cpus, nb = _cpus(), beta_grid.size
-    parts = max(1, min(nb, -(-cpus // max(1, alpha_grid.size))))  # runs per row
+    per_row = -(-cpus // max(1, alpha_grid.size))  # runs per row for every CPU
+    per_run = max(1, RUN_BYTES // (40 * grid.rho_points * grid.mu_points ** 2))  # cells
+    parts = max(1, min(nb, max(per_row, -(-nb // per_run))))  # runs per row
     chunks = [(ia, range(nb * k // parts, nb * (k + 1) // parts))
               for ia in range(alpha_grid.size) for k in range(parts)]
     args = [(snr, alpha_grid[ia], beta_grid[ibs.start:ibs.stop], grid, converse_grid)

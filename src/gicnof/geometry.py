@@ -533,6 +533,14 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     return _emit(walk, live, *_tighten(walk, caps))
 
 
+def group_rows(values: np.ndarray, group: np.ndarray, n: int) -> list[np.ndarray]:
+    """The rows of values split into n arrays by group, one index in 0..n-1
+    per row: array g holds the rows of group g in their order in values.
+    It splits a run's batch_vertices output by the channel of each polytope."""
+    order = np.argsort(group, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(group, minlength=n))[:-1])
+
+
 def _closure_facets(boundary: tuple, lift: float = 0.0):
     """The facets a . p <= b of the downward closure of an upper boundary
     (r1_max, knot_r1, knot_r2), knots by ascending R1 and descending R2:
@@ -577,15 +585,39 @@ def _chain_facets(walk: _VertexWalk, inner: tuple) -> list:
     """The facets n . v <= b of the inner chain's downward closure, each as
     (terms, limit): n as terms (k, lam_k) of walked rows (_cone_terms), and
     limit = b - 1e-9 * max(1, largest |knot|) * (n1 + n2)."""
-    _, knot_r1, knot_r2 = inner
     n1, n2, b = _closure_facets(inner)
     # a repeated knot gives no facet, nor does a pair whose R2 rises (by
     # rounding, in a Pareto chain): the interpolant there lies above the
     # last facet before it
     facet = (n1 >= 0.0) & (n1 + n2 > 0.0)
-    margin = 1e-9 * max(1.0, float(np.abs(knot_r1).max()), float(np.abs(knot_r2).max()))
-    limits = (b - margin * (n1 + n2))[facet].tolist()
+    limits = (b - _chain_margin(inner) * (n1 + n2))[facet].tolist()
     return list(zip(_cone_terms(walk, n1[facet], n2[facet]), limits))
+
+
+def _chain_margin(inner: tuple) -> float:
+    """The margin by which a point must clear an inner chain to count as
+    strictly inside it: 1e-9 * max(1, largest |knot|)."""
+    _, knot_r1, knot_r2 = inner
+    return 1e-9 * max(1.0, float(np.abs(knot_r1).max()), float(np.abs(knot_r2).max()))
+
+
+def strictly_inside(points: np.ndarray, inner: tuple) -> np.ndarray:
+    """Which of the (n, 2) points lie strictly inside an inner chain, in
+    the sense of vertices_outside's test: v >= 0, and v + margin * (1, 1)
+    left of r1_max and below the knots' interpolant (_chain_margin).
+
+    The chain lies inside the region the points are for, so such a point
+    lies strictly inside it: it is no hull vertex of the region, nor the
+    farthest point beyond any chord of a quickhull, nor the largest R1 or
+    R2, and the region is the same without it.  A point with a coordinate
+    below zero is never inside, since it can be a hull vertex.  Cost: one
+    pass over the points and a search of the knots for each.
+    """
+    r1_max, knot_r1, knot_r2 = inner
+    margin = _chain_margin(inner)
+    x = points[:, 0] + margin
+    return ((x < r1_max) & (points[:, 1] + margin < np.interp(x, knot_r1, knot_r2))
+            & np.all(points >= 0.0, axis=1))
 
 
 def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -446,6 +447,35 @@ class TestPrunedSweepOnEdgeInputs:
     def test_matches_unpruned(self, grid):
         for p in EDGE_CHANNELS:
             assert_matches_unpruned(p, grid)
+
+
+class TestRun:
+    """The inner caps in slabs of rho, and the inner clouds of a run."""
+
+    @pytest.mark.parametrize("grid", [ach.DEFAULT_GRID, DOUBLED, GridSpec(129, 9)])
+    def test_slabs_of_rho_give_the_whole_grids_caps(self, grid, monkeypatch):
+        calls = []
+        family_caps = ach.family_caps
+        for p in random_channels(20, 20260405):
+            whole = family_caps(p, *ach.parameter_grids(p, grid))
+            monkeypatch.setattr(ach, "family_caps",
+                                lambda *args: calls.append(args[1].size) or family_caps(*args))
+            _, caps = ach.grid_caps(p, grid)
+            monkeypatch.undo()
+            assert np.array_equal(caps, whole, equal_nan=True)
+            # each slab's (rho, mu1, mu2) temporary within SLAB_BYTES
+            assert max(calls) * grid.mu_points ** 2 * 8 <= ach.SLAB_BYTES
+            assert sum(calls) == caps.shape[1]
+            calls.clear()
+
+    def test_a_run_has_each_cells_inner_cloud(self):
+        rng = np.random.default_rng(23)
+        for p in random_channels(20, 20260401) + EDGE_CHANNELS:
+            ps = [dataclasses.replace(p, snr_bwd_1=a, snr_bwd_2=b)
+                  for a, b in 10.0 ** rng.uniform(-1.0, 6.0, size=(4, 2))]
+            caps = [ach.grid_caps(q, ach.DEFAULT_GRID)[1] for q in ps]
+            for q, c, cloud in zip(ps, caps, ach.run_inner_clouds(ps, caps)):
+                assert cloud.tobytes() == ach.inner_cloud(q, c).tobytes()
 
 
 class TestFanChain:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,42 @@ class TestConverseRegion:
         assert classify_events(p) == EventPair(5, 3) and conv.k6_variant(classify_events(p)) == 3
         with pytest.raises(DegenerateChannelError, match="b6 is undefined"):
             converse_region(p)
+
+
+class TestRun:
+    """The run functions on channels that differ only in feedback SNRs
+    equal the one-channel functions, channel by channel, bit for bit."""
+
+    def test_run_caps_and_vertices_are_each_channels(self):
+        rng = np.random.default_rng(17)
+        rho = np.linspace(0.0, 1.0, 65)
+        for p in random_channels(40, 20260401):
+            fb = 10.0 ** rng.uniform(-1.0, 6.0, size=(5, 2))
+            ps = [dataclasses.replace(p, snr_bwd_1=a, snr_bwd_2=b) for a, b in fb]
+            run = conv.run_family_caps(ps, rho)
+            for c, q in enumerate(ps):
+                assert np.array_equal(run[:, c], conv.family_caps(q, rho), equal_nan=True)
+            for q, (pts, start) in zip(ps, conv.run_converse_vertices(ps)):
+                want_pts, want_start = conv.converse_vertices(q)
+                assert pts.tobytes() == want_pts.tobytes() and start.hex() == want_start.hex()
+
+    def test_a_cell_with_no_feasible_rho_leaves_the_others(self):
+        # at -20 dB forward ratios a feedback SNR of 1e3 or more makes some
+        # rho feasible, and one of 10 or less none
+        ps = [ChannelParameters(0.01, 0.01, 0.01, 0.01, fb, fb) for fb in (1.0, 1e3, 10.0, 1e4)]
+        got = conv.run_converse_vertices(ps)
+        infeasible = [isinstance(cell, DegenerateChannelError) for cell in got]
+        assert infeasible == [True, False, True, False]
+        for p, cell in zip(ps, got):
+            if isinstance(cell, DegenerateChannelError):
+                with pytest.raises(DegenerateChannelError, match="no rho of the grid") as excinfo:
+                    conv.converse_vertices(p)
+                assert str(cell) == str(excinfo.value)
+            else:
+                assert cell[0].tobytes() == conv.converse_vertices(p)[0].tobytes()
+
+    def test_a_run_shares_its_forward_ratios(self):
+        ps = [ChannelParameters(10.0, 10.0, 5.0, 5.0, 1.0, 1.0),
+              ChannelParameters(10.0, 10.0, 5.0, 6.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match="forward SNRs and INRs"):
+            conv.run_family_caps(ps, [0.0, 0.5])

@@ -197,7 +197,7 @@ class TestSweepSymmetric:
         surface = sweep_symmetric(snr, [1.0], [1.0])
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=1.0, beta=1.0))
         assert surface.gaps.shape == (1, 1)
-        assert surface.gaps[0, 0] == pytest.approx(exact_gap(p).exact_gap, abs=1e-12)
+        assert float(surface.gaps[0, 0]).hex() == exact_gap(p).exact_gap.hex()
         assert surface.missing == {}
 
     def test_deterministic(self):
@@ -236,6 +236,42 @@ class TestSweepSymmetric:
     def test_invalid_grid_propagates(self):
         with pytest.raises(ValueError, match="mu grids"):
             sweep_symmetric(1e4, [0.5], [0.5, 1.0], GridSpec(33, 1))
+
+    def test_each_cell_of_a_run_keeps_its_own_reason(self):
+        # at 100 dB a feedback SNR of snr ** 2.9 overflows the inner bound's
+        # feedback power, and at alpha = 1.6 the INR product overflows the
+        # converse of every cell: each cell still has exact_gap's gap or
+        # reason, the inner reason before the converse one
+        for alpha, betas, kinds in ((1.0, [1.0, 2.9, 1.9], [None, "inner", None]),
+                                    (1.6, [0.5, 1.5, 0.9], ["converse", "inner", "converse"])):
+            got = gap._sweep_chunk(1e100, alpha, betas, achievability.DEFAULT_GRID,
+                                   converse.DEFAULT_GRID)
+            for beta, cell, kind in zip(betas, got, kinds):
+                p = symmetric_params(SymmetricPoint(snr=1e100, alpha=alpha, beta=beta))
+                if kind is None:
+                    assert cell.hex() == exact_gap(p).exact_gap.hex()
+                    continue
+                with pytest.raises(DegenerateChannelError) as excinfo:
+                    exact_gap(p)
+                assert cell == str(excinfo.value) and cell.startswith(f"{kind} bound")
+
+    def test_a_run_makes_each_batch_once(self, monkeypatch):
+        # the cells of a run share their forward ratios: one evaluation of
+        # the converse caps, one batch_vertices call over the converse
+        # columns and one over the coarse clouds
+        calls = []
+
+        def spy(module, name):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or f(*args))
+
+        spy(converse, "_caps_by_family")
+        spy(converse, "batch_vertices")
+        spy(achievability, "batch_vertices")
+        got = gap._sweep_chunk(1e4, 0.7, [0.1, 0.6, 1.1, 1.7, 2.3, 2.9],
+                               achievability.DEFAULT_GRID, converse.DEFAULT_GRID)
+        assert all(isinstance(cell, float) for cell in got)
+        assert sorted(calls) == ["_caps_by_family", "batch_vertices", "batch_vertices"]
 
 
 def run_script(script):
@@ -288,6 +324,14 @@ class TestParallelSweep:
         monkeypatch.setattr(gap, "_cpus", lambda: 4)
         sweep_symmetric(1e4, [0.5, 0.7], betas[:3])
         assert runs == [(0.5, 1), (0.5, 2), (0.7, 1), (0.7, 2)]
+        runs.clear()
+        # a run holds the inner caps of at most 5 cells at the default grid
+        monkeypatch.setattr(gap, "_cpus", lambda: 1)
+        sweep_symmetric(1e4, [0.5], np.linspace(0.1, 3.0, 12))
+        assert runs == [(0.5, 4)] * 3
+        runs.clear()
+        sweep_symmetric(1e4, [0.5], betas[:3], GridSpec(65, 33))
+        assert runs == [(0.5, 1)] * 3
 
     def test_invalid_grid_raises_through_a_worker(self):
         parallel_cpus()

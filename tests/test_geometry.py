@@ -392,6 +392,18 @@ class TestVerticesOutside:
             assert not np.any(dual & ~tight) and not np.any(tight & ~corner), p
             assert np.array_equal(np.unique(vertices_outside(coeffs, caps, chain)[1]), live[~tight])
 
+    def test_strictly_inside_a_chain(self):
+        # knots (0, 2), (1, 1), (2, 0): a point counts as inside when it is
+        # nonnegative and, moved by the margin 2e-9 in both coordinates, lies
+        # left of R1 = 2 and below the interpolant, whose slope here is -1
+        chain = (2.0, np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0]))
+        pts = np.array([[0.5, 1.0], [1.0, 1.0], [1.0, 1.0 - 5e-9], [1.0, 1.0 - 3e-9],
+                        [-1e-12, 0.5], [0.5, -1e-12], [0.0, 0.0], [2.0 - 5e-9, 0.0],
+                        [2.0 - 3e-9, 0.0]])
+        assert geometry.strictly_inside(pts, chain).tolist() == [
+            True, False, True, False, False, False, True, True, False]
+
+
 class TestPolytopeVertices:
     def test_unit_square(self):
         poly = make_polytope([(1, 0, 1.0), (0, 1, 1.0)])

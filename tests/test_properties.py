@@ -1,6 +1,6 @@
 """Property tests of the vertex kernel on generated batches of family caps,
-and of the converse polytopes' vertices, the sandwich and the user swap of
-both caps arrays on generated channels."""
+and of the converse polytopes' vertices, the sandwich, the user swap of
+both caps arrays and the sweep's runs on generated channels."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from gicnof import ChannelParameters, DegenerateChannelError, achievability, converse  # noqa: E402
+from gicnof import (  # noqa: E402
+    ChannelParameters,
+    DegenerateChannelError,
+    SymmetricPoint,
+    achievability,
+    converse,
+    gap,
+    symmetric_params,
+)
 from gicnof.geometry import (  # noqa: E402
     FEASIBILITY_TOL,
     _xi,
     batch_vertices,
     contains,
+    deflation_gap,
     region_from_points,
+    strictly_inside,
     vertices_outside,
 )
 from conftest import swap_users  # noqa: E402
@@ -57,6 +67,18 @@ def test_the_prune_keeps_the_hull(caps):
     kept, _ = vertices_outside(COEFFS, caps, fan_chain(pts))
     assert (region_from_points(kept).vertices.tobytes()
             == region_from_points(pts).vertices.tobytes())
+
+
+@PROPERTY
+@given(family_caps())
+def test_points_strictly_inside_the_chain_change_no_region(caps):
+    pts, _ = batch_vertices(COEFFS, caps)
+    if pts.size == 0:
+        return
+    inside = strictly_inside(pts, fan_chain(pts))
+    got, want = region_from_points(pts[~inside]), region_from_points(pts)
+    for name in ("vertices", "frontier_r1", "frontier_r2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @PROPERTY
@@ -132,3 +154,27 @@ def test_swapping_the_users_permutes_both_caps_arrays(db):
     inner = achievability.grid_caps(p, achievability.DEFAULT_GRID)[1]
     assert_same_caps(achievability.grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
                      inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.floats(10.0, 60.0), st.floats(0.1, 1.6),
+       st.lists(st.floats(0.1, 3.0), min_size=1, max_size=8))
+def test_a_sweep_run_equals_its_cells(snr_db, alpha, betas):
+    # a run of one symmetric row shares its forward ratios across the cells
+    # and batches its stages: each cell's gap is still its own regions' gap
+    # bit for bit, or their DegenerateChannelError, and the run's converse
+    # caps are each cell's
+    snr = 10.0 ** (snr_db / 10.0)
+    got = gap._sweep_chunk(snr, alpha, betas, achievability.DEFAULT_GRID,
+                           converse.DEFAULT_GRID)
+    ps = [symmetric_params(SymmetricPoint(snr=snr, alpha=alpha, beta=beta)) for beta in betas]
+    for p, cell in zip(ps, got):
+        try:
+            want = deflation_gap(*gap.regions(p)).gap.hex()
+        except DegenerateChannelError as exc:
+            want = str(exc)
+        assert (cell if isinstance(cell, str) else cell.hex()) == want
+    rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
+    run = converse.run_family_caps(ps, rho)
+    for c, p in enumerate(ps):
+        assert np.array_equal(run[:, c], converse.family_caps(p, rho), equal_nan=True)
