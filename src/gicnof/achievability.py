@@ -16,6 +16,9 @@ constraint (SNR_i / max(1, INR_ji)) and floor the residual common
 interference at zero.  Both operations are inactive whenever the INRs are at
 least one, which keeps the nominal-regime values untouched.
 
+The bounds are sums of the terms a1..a7 of both users, written once, in
+_coefficients; the functions a1..a7 are its views.
+
 Right-hand sides of the rate bounds can still be negative for sub-unity
 SNR+INR channels; negative caps simply make the polytope empty rather than
 being clamped away.
@@ -109,62 +112,69 @@ def b_basic(p: ChannelParameters, i: int, rho):
     return b1, b2
 
 
-def _private_ratio(p: ChannelParameters, i: int) -> float:
-    # received private-stream SNR with the private power capped at the unit
-    # power constraint: snr_i * min(1, 1/inr_ji)
+def _coefficients(p: ChannelParameters, rho, mu1, mu2) -> dict:
+    """{i: (a1, ..., a7) of user i} at rho, mu1 and mu2 (broadcastable).
+
+    The inner guard runs once, and each per-user term is evaluated once:
+    b1_i(rho) and b2_i from one b_basic call, b1_i(1), b2_i floored at zero,
+    the private ratio r_i = snr_i / max(1, inr_ji) (private power capped at
+    the unit power constraint), s_i = (1 - mu_j) b2_i and
+    q_i = r_i ((1 - mu_i) b2_j + 1): a3, a4 and a5 of user i take the other
+    user's split, through s_i, a6 its own, through q_i, and a7 both."""
     _require_defined(p)
-    return p.snr_fwd(i) / max(1.0, p.inr(_other(i)))
+    users, pairs = (1, 2), ((1, 2), (2, 1))  # pairs: user i and the other user j
+    split = {1: 1.0 - np.asarray(mu1), 2: 1.0 - np.asarray(mu2)}  # 1 - mu_i
+    basic = {i: b_basic(p, i, rho) for i in users}  # b1_i(rho) and the raw b2_i
+    b1 = {i: basic[i][0] for i in users}
+    b2 = {i: np.maximum(basic[i][1], 0.0) for i in users}
+    b1_full = {i: b_basic(p, i, 1.0)[0] for i in users}
+    r = {i: p.snr_fwd(i) / max(1.0, p.inr(j)) for i, j in pairs}
+    s = {i: split[j] * b2[i] for i, j in pairs}
+    q = {i: r[i] * (s[j] + 1.0) for i, j in pairs}
+    out = {}
+    for i in users:
+        fb = p.snr_bwd(i)
+        num = fb * (b2[i] + 2.0) + b1_full[i] + 1.0
+        den = fb * (s[i] + 2.0) + b1_full[i] + 1.0
+        out[i] = (
+            0.5 * math.log2(2.0 + r[i]) - 0.5,
+            0.5 * np.log2(b1[i] + 1.0) - 0.5,
+            0.5 * np.log2(num / den),  # zero at mu_j = 0, increasing in snr_bwd_i
+            0.5 * np.log2(s[i] + 2.0) - 0.5,
+            0.5 * np.log2(2.0 + r[i] + s[i]) - 0.5,
+            0.5 * np.log2(q[i] + 2.0) - 0.5,
+            0.5 * np.log2(q[i] + s[i] + 2.0) - 0.5,
+        )
+    return out
 
 
-def _b2_pos(p: ChannelParameters, i: int, rho):
-    _, b2 = b_basic(p, i, rho)
-    return np.maximum(b2, 0.0)
-
-
+# views of _coefficients; a split that a term does not read is passed as the one it does
 def a1(p: ChannelParameters, i: int) -> float:
-    return 0.5 * math.log2(2.0 + _private_ratio(p, i)) - 0.5
+    return _coefficients(p, 0.0, 0.0, 0.0)[i][0]
 
 
 def a2(p: ChannelParameters, i: int, rho):
-    b1, _ = b_basic(p, i, rho)
-    return 0.5 * np.log2(b1 + 1.0) - 0.5
+    return _coefficients(p, rho, 0.0, 0.0)[i][1]
 
 
 def a3(p: ChannelParameters, i: int, rho, mu):
-    """Feedback term: zero at mu = 0, increasing in the feedback SNR."""
-    fb = p.snr_bwd(i)
-    b1_full, _ = b_basic(p, i, 1.0)
-    b2 = _b2_pos(p, i, rho)
-    num = fb * (b2 + 2.0) + b1_full + 1.0
-    den = fb * ((1.0 - np.asarray(mu)) * b2 + 2.0) + b1_full + 1.0
-    return 0.5 * np.log2(num / den)
+    return _coefficients(p, rho, mu, mu)[i][2]
 
 
 def a4(p: ChannelParameters, i: int, rho, mu):
-    return 0.5 * np.log2((1.0 - np.asarray(mu)) * _b2_pos(p, i, rho) + 2.0) - 0.5
+    return _coefficients(p, rho, mu, mu)[i][3]
 
 
 def a5(p: ChannelParameters, i: int, rho, mu):
-    ratio = _private_ratio(p, i)
-    return 0.5 * np.log2(2.0 + ratio + (1.0 - np.asarray(mu)) * _b2_pos(p, i, rho)) - 0.5
+    return _coefficients(p, rho, mu, mu)[i][4]
 
 
 def a6(p: ChannelParameters, i: int, rho, mu):
-    ratio = _private_ratio(p, i)
-    b2_j = _b2_pos(p, _other(i), rho)
-    return 0.5 * np.log2(ratio * ((1.0 - np.asarray(mu)) * b2_j + 1.0) + 2.0) - 0.5
+    return _coefficients(p, rho, mu, mu)[i][5]
 
 
 def a7(p: ChannelParameters, i: int, rho, mu1, mu2):
-    ratio = _private_ratio(p, i)
-    b2_i = _b2_pos(p, i, rho)
-    b2_j = _b2_pos(p, _other(i), rho)
-    mu_i = mu1 if i == 1 else mu2
-    mu_j = mu2 if i == 1 else mu1
-    return 0.5 * np.log2(
-        ratio * ((1.0 - np.asarray(mu_i)) * b2_j + 1.0)
-        + (1.0 - np.asarray(mu_j)) * b2_i + 2.0
-    ) - 0.5
+    return _coefficients(p, rho, mu1, mu2)[i][6]
 
 
 def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
@@ -176,14 +186,9 @@ def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
     family_caps.  The splits pair as in the rate-bound list: a3, a4 and a5 of
     user i take the other user's split mu_j, a6 its own mu_i, a7 both.
     """
-    a1_1, a1_2 = a1(p, 1), a1(p, 2)
-    a2_1, a2_2 = a2(p, 1, rho), a2(p, 2, rho)
-    a3_1, a3_2 = a3(p, 1, rho, mu2), a3(p, 2, rho, mu1)
-    a4_1, a4_2 = a4(p, 1, rho, mu2), a4(p, 2, rho, mu1)
-    a5_1, a5_2 = a5(p, 1, rho, mu2), a5(p, 2, rho, mu1)
-    a6_1, a6_2 = a6(p, 1, rho, mu1), a6(p, 2, rho, mu2)
-    a7_1 = a7(p, 1, rho, mu1, mu2)
-    a7_2 = a7(p, 2, rho, mu1, mu2)
+    a = _coefficients(p, rho, mu1, mu2)
+    a1_1, a2_1, a3_1, a4_1, a5_1, a6_1, a7_1 = a[1]
+    a1_2, a2_2, a3_2, a4_2, a5_2, a6_2, a7_2 = a[2]
     return (
         (a2_1, a6_1 + a3_2, a1_1 + a3_2 + a4_2),  # R1
         (a2_2, a3_1 + a6_2, a3_1 + a4_1 + a1_2),  # R2
@@ -309,21 +314,16 @@ def _coarse(n: int) -> np.ndarray:
 
 
 def _coarse_clouds(caps, anchors) -> list[np.ndarray]:
-    """_coarse_cloud of each cell of a run, whose family caps arrays caps
-    share one shape, from one batch_vertices call over every cell's coarse
-    sub-grid; a polytope's vertices depend on its own caps alone, so each
-    cell's are the ones a call for it alone gives, in the same order."""
+    """Each cell's coarse cloud (its coarse sub-grid's vertices, and its
+    anchors) from one batch_vertices call, the cells' caps of one shape; a
+    polytope's vertices depend on its own caps alone, so each cell's are
+    the ones a call for it alone gives, in the same order."""
     sub = np.ix_(range(5), *map(_coarse, caps[0].shape[1:]))
     coarse = np.stack([c[sub] for c in caps], axis=1)  # (5, cells) + sub-grid
     pts, column = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
     per_cell = coarse[0, 0].size
     return [np.vstack([v, a])
             for v, a in zip(group_rows(pts, column // per_cell, len(caps)), anchors)]
-
-
-def _coarse_cloud(caps: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """The vertices of the coarse sub-grid's polytopes, and the anchors."""
-    return _coarse_clouds([caps], [anchors])[0]
 
 
 def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

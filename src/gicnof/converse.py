@@ -241,6 +241,7 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
     """Evaluate every converse cap at one correlation value."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _require_defined(p)
     (k1_1, k2_1, k3_1), (k1_2, k2_2, k3_2), (k4, k5, k6), (k7_1,), (k7_2,) = (
         [np.asarray(v).item() for v in family] for family in _caps_by_family([p], rho, ev)
     )
@@ -255,6 +256,27 @@ def kappa(p: ChannelParameters, rho: float, ev: EventPair) -> KappaValues:
         k7=(k7_1, k7_2),
         k7_variants=(k7_variant(ev, 1), k7_variant(ev, 2)),
     )
+
+
+def _require_defined(p: ChannelParameters) -> None:
+    """DegenerateChannelError for a product the caps form beyond the float
+    range: inr_12 * inr_21, a factor of the sum and weighted caps, or both
+    products of kappa_3's ratio of some user i, whose quotient is then
+    inf / inf, NaN.  They are checked at rho = 0, where both are largest:
+    snr_bwd_j * (snr_fwd_i + inr_ji + 1) and (b1_j(1) + 1) * (snr_fwd_i + 1)."""
+    if not math.isfinite(p.inr_12 * p.inr_21):
+        raise DegenerateChannelError(
+            f"converse bound is undefined for an INR product beyond the float range "
+            f"(inr_12={p.inr_12!r}, inr_21={p.inr_21!r})")
+    for i, j in ((1, 2), (2, 1)):
+        snr_i, inr_ji, fb_j = p.snr_fwd(i), p.inr(j), p.snr_bwd(j)
+        num = fb_j * (snr_i + inr_ji + 1.0)
+        den = (float(b_basic(p, j, 1.0)[0]) + 1.0) * (snr_i + 1.0)
+        if not (math.isfinite(num) or math.isfinite(den)):
+            raise DegenerateChannelError(
+                f"converse bound is undefined for a kappa_3 of user {i} whose two products "
+                f"are beyond the float range (snr_fwd_{i}={snr_i!r}, "
+                f"snr_fwd_{j}={p.snr_fwd(j)!r}, inr_{j}{i}={inr_ji!r}, snr_bwd_{j}={fb_j!r})")
 
 
 def _forward(p: ChannelParameters) -> tuple:
@@ -274,10 +296,8 @@ def run_family_caps(ps, rho) -> np.ndarray:
     p = ps[0]
     if any(_forward(q) != _forward(p) for q in ps):
         raise ValueError("the channels of a run must share their forward SNRs and INRs")
-    if not math.isfinite(p.inr_12 * p.inr_21):
-        raise DegenerateChannelError(
-            f"converse bound is undefined for an INR product beyond the float range "
-            f"(inr_12={p.inr_12!r}, inr_21={p.inr_21!r})")
+    for q in ps:
+        _require_defined(q)
     rho = np.asarray(rho, float)
     return _least_of_each(_caps_by_family(ps, rho, classify_events(p)), (len(ps),) + rho.shape)
 
@@ -286,10 +306,9 @@ def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     """Binding converse cap per bound family; rho may be an array.
 
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order: the one-channel
-    run of run_family_caps.  Raises DegenerateChannelError when
-    inr_12 * inr_21, a factor of the sum and weighted caps, is not a finite
-    float, and when a half H_j in the b6 form meets a zero forward SNR of
-    user j, which b6 divides by.
+    run of run_family_caps.  Raises DegenerateChannelError where
+    _require_defined does, and when a half H_j in the b6 form meets a zero
+    forward SNR of user j, which b6 divides by.
     """
     return run_family_caps([p], rho)[:, 0]
 
@@ -353,9 +372,9 @@ def run_converse_vertices(ps, grid: GridSpec = DEFAULT_GRID) -> list:
     The caps are evaluated once for the run, and the vertices of every
     feasible column of the run come from one batch_vertices call.  A
     polytope's vertices depend on its own caps alone, so each channel's are
-    the ones a call for it alone gives, in the same order.  Errors that hold
-    for the whole run, such as DegenerateChannelError for an INR product
-    beyond the float range, are raised.
+    the ones a call for it alone gives, in the same order.  Any other error
+    is raised, as the DegenerateChannelError of _require_defined is for any
+    channel of the run.
     """
     caps, cell, pts, column = _run_feasible(ps, grid)
     c1, c2 = FAMILY_COEFFS.T

@@ -151,13 +151,14 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     The cells of a run share their forward SNRs and INRs, and so their
     event pair and their rho grids; beta moves only the feedback SNR.  So
     each stage is made once for the run, not once per cell:
-      1. each cell's inner parameter grid (achievability.parameter_grids),
-         whose guard raises for a zero INR or an overflowing power product;
+      1. each cell's guards: the inner one (achievability.parameter_grids),
+         which raises for a zero INR or an overflowing power product, then
+         the converse one (converse._require_defined), which raises for an
+         overflowing INR product or kappa_3;
       2. the converse vertices of the cells left
          (converse.run_converse_vertices): one evaluation of the caps and
          one batch_vertices call, with a DegenerateChannelError for each
-         cell with no feasible rho, or for all of them when their INR
-         product overflows;
+         cell with no feasible rho;
       3. the inner family caps of the cells left (achievability.grid_caps)
          and their inner clouds (achievability.run_inner_clouds): one
          batch_vertices call for all their coarse clouds, then each cell's
@@ -165,9 +166,9 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
       4. one batch of hulls (geometry.regions_from_points), then each cell's
          deflation gap from its converse vertices (geometry.deflate), which
          is deflation_gap's over the converse envelope, with no frontier.
-    A cell is left out with the reason of the first step that raises for
-    it, the inner one before the converse one, as exact_gap raises them;
-    the other cells still get their gaps, each
+    A cell is left out with the reason of the first check that raises for
+    it, in the order exact_gap meets them (inner guard, INR product,
+    kappa_3, no feasible rho); the other cells still get their gaps, each
     deflation_gap(*regions(p, grid, converse_grid)).gap bit for bit.  Any
     other exception propagates.
     """
@@ -176,6 +177,7 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
         try:
             achievability.parameter_grids(p, grid)
+            converse._require_defined(p)
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
             continue
@@ -183,12 +185,8 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
         ps.append(p)
     if not cells:
         return out
-    try:
-        outers = converse.run_converse_vertices(ps, converse_grid)
-    except DegenerateChannelError as exc:
-        outers = [exc] * len(cells)
     live = []
-    for ib, p, outer in zip(cells, ps, outers):
+    for ib, p, outer in zip(cells, ps, converse.run_converse_vertices(ps, converse_grid)):
         if isinstance(outer, DegenerateChannelError):
             out[ib] = str(outer)
         else:
@@ -268,8 +266,9 @@ def sweep_symmetric(
     """Exact gap at every symmetric (alpha, beta) cell.
 
     Degenerate cells are recorded as missing with their reason instead of
-    aborting the sweep: zero-INR cells, cells whose INR product overflows a
-    float, and cells where no rho of the converse grid gives a polytope
+    aborting the sweep: zero-INR cells, cells with a power product that
+    overflows a float (an inner one, the INR product or both of kappa_3's),
+    and cells where no rho of the converse grid gives a polytope
     containing the origin.  Each cell's gap is
     deflation_gap(*regions(p, grid, converse_grid)).gap, taken from the
     converse polytopes' vertices (converse.run_converse_vertices) without the

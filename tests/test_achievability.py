@@ -25,15 +25,7 @@ from gicnof.geometry import (
     pareto_vertices,
     region_from_points,
 )
-from conftest import random_channels
-
-
-def as_oracle(p):
-    return {"snr1": p.snr_fwd_1, "snr2": p.snr_fwd_2, "inr12": p.inr_12,
-            "inr21": p.inr_21, "fb1": p.snr_bwd_1, "fb2": p.snr_bwd_2}
-
-
-FAMILIES = ("r1", "r2", "sum", "two_r1", "two_r2")
+from conftest import FAMILIES, as_oracle, channels_with_unit_inr, random_channels
 
 
 def oracle_polytope(ch, rho, mu1, mu2):
@@ -42,19 +34,6 @@ def oracle_polytope(ch, rho, mu1, mu2):
     return RateRegionPolytope(tuple(
         LinearBound(float(c1), float(c2), r)
         for (c1, c2), fam in zip(ach.FAMILY_COEFFS, FAMILIES) for r in rhs[fam]))
-
-
-def channels_with_unit_inr(n, seed):
-    """Random channels with both INRs >= 1, where the coefficient formulas
-    coincide with their raw closed forms."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        snr = 10.0 ** (rng.uniform(-10, 60, size=2) / 10.0)
-        inr = 10.0 ** (rng.uniform(0, 60, size=2) / 10.0)
-        fb = 10.0 ** (rng.uniform(-10, 60, size=2) / 10.0)
-        out.append(ChannelParameters(snr[0], snr[1], inr[0], inr[1], fb[0], fb[1]))
-    return out
 
 
 class TestBBasic:
@@ -165,6 +144,15 @@ class TestCoefficients:
         p = ChannelParameters(10.0, 10.0, 0.0, 5.0, 1.0, 1.0)
         with pytest.raises(DegenerateChannelError):
             ach.a1(p, 1)
+
+    def test_family_caps_evaluates_each_shared_term_once(self, p_star):
+        # b1_i(rho) and b2_i from one b_basic call per user, b1_i(1) from one
+        # more, and the inner guard once, for all seventeen bounds
+        rho, mu1, mu2 = ach.parameter_grids(p_star, ach.DEFAULT_GRID)
+        with mock.patch.object(ach, "b_basic", wraps=ach.b_basic) as b_basic, \
+                mock.patch.object(ach, "_require_defined", wraps=ach._require_defined) as guard:
+            ach.family_caps(p_star, rho, mu1, mu2)
+        assert (b_basic.call_count, guard.call_count) == (4, 1)
 
 
 class TestRhoDomain:
@@ -488,7 +476,7 @@ class TestFanChain:
                                   64.5478711466986, 18557.453726792202, 35.30259433233043)
         for p in [p_star] + random_channels(30, 20260407) + [twins]:
             caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
-            cloud = ach._coarse_cloud(caps, ach.single_user_anchors(p))
+            (cloud,) = ach._coarse_clouds([caps], [ach.single_user_anchors(p)])
             r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)
             assert 2 <= knot_r1.size <= 2 * ach.FAN_DIRECTIONS - 1
             assert np.all(np.diff(knot_r1) > 0.0) and np.all(np.diff(knot_r2) < 0.0)

@@ -10,7 +10,7 @@ import pytest
 
 from gicnof import ChannelParameters, DegenerateChannelError, exact_gap
 from gicnof.cli import main, parse_range, CliError
-from test_converse import CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3
+from test_converse import CHANNEL_K3_OVERFLOW, CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -320,7 +320,23 @@ class TestExitCodes:
          "(snr_fwd_2=1e+150, inr_21=1e+200, snr_bwd_2=0.001)"),
     ], ids=["feedback_power", "cross_term"])
     def test_inner_power_product_overflow_exits_2(self, channel, reason, tmp_path):
-        line = f"inner bound is undefined for a power product beyond the float range {reason}"
+        self.assert_refused(
+            channel, f"inner bound is undefined for a power product beyond the float range {reason}",
+            tmp_path)
+
+    def test_kappa3_overflow_exits_2(self, tmp_path):
+        # where it printed "analytic_bound": NaN, which is not JSON, and
+        # exited 0
+        self.assert_refused(
+            CHANNEL_K3_OVERFLOW,
+            "converse bound is undefined for a kappa_3 of user 1 whose two products are beyond"
+            " the float range (snr_fwd_1=1e+150, snr_fwd_2=1e+200, inr_21=1e-30,"
+            " snr_bwd_2=1e+300)", tmp_path)
+
+    @staticmethod
+    def assert_refused(channel, line, tmp_path):
+        """exact_gap raises line, and gap exits 2 with it as its one
+        stderr line, no output and no numpy warning."""
         with pytest.raises(DegenerateChannelError) as exc:
             exact_gap(channel)
         assert str(exc.value) == line

@@ -19,15 +19,7 @@ from gicnof import (
 from gicnof import converse as conv
 from gicnof.achievability import FAMILY_COEFFS
 from gicnof.geometry import LinearBound, RateRegionPolytope
-from conftest import random_channels
-
-
-def as_oracle(p):
-    return {"snr1": p.snr_fwd_1, "snr2": p.snr_fwd_2, "inr12": p.inr_12,
-            "inr21": p.inr_21, "fb1": p.snr_bwd_1, "fb2": p.snr_bwd_2}
-
-
-FAMILIES = ("r1", "r2", "sum", "two_r1", "two_r2")
+from conftest import FAMILIES, as_oracle, random_channels
 
 
 def oracle_polytope(ch, rho):
@@ -43,6 +35,10 @@ def oracle_polytope(ch, rho):
 CHANNEL_K6_1 = ChannelParameters(100.0, 100.0, 2.0, 3.0, 7.0, 11.0)     # S5, S5
 CHANNEL_K6_2 = ChannelParameters(20.0, 6.0, 4.0, 3.0, 7.0, 11.0)        # S4, S5
 CHANNEL_K6_3 = ChannelParameters(6.0, 20.0, 3.0, 4.0, 7.0, 11.0)        # S5, S4
+# both products of user 1's kappa_3 ratio beyond the float range at rho = 0,
+# snr_bwd_2 * (snr_fwd_1 + inr_21 + 1) and (b1_2(1) + 1) * (snr_fwd_1 + 1),
+# while every product the inner caps form is finite
+CHANNEL_K3_OVERFLOW = ChannelParameters(1e150, 1e200, 1e-30, 1e-30, 1e300, 1e300)
 CHANNEL_K6_4 = ChannelParameters(10.0, 10.0, 5.0, 5.0, 10.0, 10.0)      # S4, S4
 
 
@@ -297,6 +293,15 @@ class TestConverseRegion:
         assert contains(region, (region.r1_max, 0.0))
         assert not contains(region, (region.r1_max + 2e-9, 0.0))
         assert not contains(region, (region.r1_max + 1e-6, 0.0))
+
+    def test_kappa3_beyond_the_float_range_is_refused(self):
+        # its ratio would be inf / inf, NaN on 64 of the 65 rho, which used to
+        # read as an empty polytope
+        p = CHANNEL_K3_OVERFLOW
+        for caps in (lambda: conv.family_caps(p, np.linspace(0.0, 1.0, 65)),
+                     lambda: kappa(p, 0.5, classify_events(p))):
+            with pytest.raises(DegenerateChannelError, match="kappa_3 of user 1 whose two"):
+                caps()
 
     def test_degenerate_snr_propagates(self):
         # events (5, 3) select k6 variant 3: user 1's half takes the b6 form,

@@ -24,23 +24,7 @@ from gicnof import (
 )
 from gicnof import achievability, converse, gap
 from gicnof.geometry import deflate
-from conftest import random_channels, swap_users
-
-
-def as_oracle(p):
-    return {"snr1": p.snr_fwd_1, "snr2": p.snr_fwd_2, "inr12": p.inr_12,
-            "inr21": p.inr_21, "fb1": p.snr_bwd_1, "fb2": p.snr_bwd_2}
-
-
-def channels_with_unit_inr(n, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        snr = 10.0 ** (rng.uniform(-10, 60, size=2) / 10.0)
-        inr = 10.0 ** (rng.uniform(0, 60, size=2) / 10.0)
-        fb = 10.0 ** (rng.uniform(-10, 60, size=2) / 10.0)
-        out.append(ChannelParameters(snr[0], snr[1], inr[0], inr[1], fb[0], fb[1]))
-    return out
+from conftest import as_oracle, channels_with_unit_inr, random_channels, swap_users
 
 
 class TestAnalyticDeltas:
@@ -254,6 +238,26 @@ class TestSweepSymmetric:
                 with pytest.raises(DegenerateChannelError) as excinfo:
                     exact_gap(p)
                 assert cell == str(excinfo.value) and cell.startswith(f"{kind} bound")
+
+    def test_a_kappa3_cell_leaves_the_others_of_its_run(self):
+        # at snr = 1e200 and alpha = 0.1, beta = 0.6 puts both products of
+        # kappa_3 beyond the float range and beta = 1.5 the inner feedback
+        # power; the other cells keep their gaps.  kappa_3's denominator
+        # alone overflows, to +inf, on every cell of the row, and the
+        # overflow warning that gives is silenced here
+        snr, alpha, betas = 1e200, 0.1, [0.1, 0.6, 1.5, 0.3]
+        with np.errstate(over="ignore"):
+            got = gap._sweep_chunk(snr, alpha, betas, achievability.DEFAULT_GRID,
+                                   converse.DEFAULT_GRID)
+            for beta, cell, kind in zip(betas, got, [None, "converse", "inner", None]):
+                p = symmetric_params(SymmetricPoint(snr=snr, alpha=alpha, beta=beta))
+                if kind is None:
+                    assert cell.hex() == deflation_gap(*gap.regions(p)).gap.hex()
+                    continue
+                with pytest.raises(DegenerateChannelError) as excinfo:
+                    exact_gap(p)
+                assert cell == str(excinfo.value) and cell.startswith(f"{kind} bound")
+        assert "kappa_3" in got[1]
 
     def test_a_run_makes_each_batch_once(self, monkeypatch):
         # the cells of a run share their forward ratios: one evaluation of

@@ -372,8 +372,9 @@ class TestVerticesOutside:
         cases += [(p, GridSpec(65, 33, 1024)) for p in random_channels(20, 20260405)]
         for p, grid in cases:
             grid_caps = achievability.family_caps(p, *achievability.parameter_grids(p, grid))
-            chain = achievability._fan_chain(achievability._coarse_cloud(
-                grid_caps, achievability.single_user_anchors(p)))
+            (coarse,) = achievability._coarse_clouds([grid_caps],
+                                                     [achievability.single_user_anchors(p)])
+            chain = achievability._fan_chain(coarse)
             caps = grid_caps.reshape(5, -1)
             walk, live, c = geometry._live_caps(coeffs, caps)
             finite = np.all(np.isfinite(c) & (c >= 0.0), axis=0)
@@ -531,7 +532,7 @@ class TestConvexHull:
         caps = achievability.family_caps(p, *achievability.parameter_grids(
             p, achievability.DEFAULT_GRID))
         anchors = achievability.single_user_anchors(p)
-        chain = achievability._fan_chain(achievability._coarse_cloud(caps, anchors))
+        chain = achievability._fan_chain(achievability._coarse_clouds([caps], [anchors])[0])
         walked, _ = vertices_outside(achievability.FAMILY_COEFFS, caps.reshape(5, -1), chain)
         clouds = [TWIN_CLOUD, rng.normal(size=(300, 2)),
                   np.round(rng.uniform(size=(300, 2)), 2),  # many exact ties

@@ -1,12 +1,15 @@
 """Property tests of the vertex kernel on generated batches of family caps,
-and of the converse polytopes' vertices, the sandwich, the user swap of
-both caps arrays and the sweep's runs on generated channels."""
+and of the inner bounds against the formula oracle, the converse
+polytopes' vertices, the sandwich, the user swap of both caps arrays and
+the sweep's runs on generated channels."""
 
 import numpy as np
 import pytest
 
+import formula_oracle as oracle
+
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from gicnof import (  # noqa: E402
@@ -28,7 +31,7 @@ from gicnof.geometry import (  # noqa: E402
     strictly_inside,
     vertices_outside,
 )
-from conftest import swap_users  # noqa: E402
+from conftest import FAMILIES, as_oracle, swap_users  # noqa: E402
 
 COEFFS = achievability.FAMILY_COEFFS
 
@@ -91,6 +94,27 @@ def test_a_column_has_the_same_vertices_alone_as_in_the_batch(caps):
         kept, kept_idx = vertices_outside(COEFFS, caps, fan_chain(pts))
         for n in np.unique(kept_idx):
             assert kept[kept_idx == n].tobytes() == pts[idx == n].tobytes()
+
+
+DB = st.floats(-10.0, 80.0)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.tuples(DB, DB, st.floats(0.0, 80.0), st.floats(0.0, 80.0), DB, DB),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_every_inner_bound_matches_the_formula_oracle(db, t, mu1, mu2):
+    # both INRs >= 1, where the coefficient functions' cap and floor are
+    # inactive, and the two splits drawn apart, so that a term paired with
+    # the wrong user's split shows.  At rho = rho_domain_sup, 1 - rho is
+    # rounded, and the raw b2 of the user with the smaller INR can read
+    # -1e-8 at 80 dB, which the code floors and the oracle does not
+    p = ChannelParameters(*10.0 ** (np.array(db) / 10.0))
+    rho = t * achievability.rho_domain_sup(p)
+    assume(all(achievability.b_basic(p, i, rho)[1] >= 0.0 for i in (1, 2)))
+    want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
+    got = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    for fam, members in zip(FAMILIES, got, strict=True):
+        assert [float(v) for v in members] == pytest.approx(want[fam], rel=1e-9, abs=1e-12)
 
 
 def largest_xi(inner, points):
