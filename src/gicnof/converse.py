@@ -22,20 +22,24 @@ converse region is the union over rho, realized as the pointwise-maximum
 frontier envelope.  The union is deliberately not convexified: a hull would
 still be a valid outer bound but would inflate the measured gap.
 converse_region builds the envelope, which exact_gap (its witness is a
-frontier sample) and the region command use.  The symmetric sweep takes
-converse_vertices instead, the vertices of every nonempty polytope: the
-deflation is convex and nondecreasing, so its largest value over the union
-is reached at one of them, and the gap is the envelope's.  Both raise
-DegenerateChannelError when no rho of the grid gives a polytope containing
-the origin: the bounds then exclude a rate pair every channel achieves.
+frontier sample) and the region command use; exact_gap takes it from
+_region_and_caps, with the caps on the inner grid's rho axis that the
+analytic bound needs, from one evaluation of the caps.  The symmetric
+sweep takes converse_vertices instead, the vertices of every nonempty
+polytope: the deflation is convex and nondecreasing, so its largest value
+over the union is reached at one of them, and the gap is the envelope's.
+Both raise DegenerateChannelError when no rho of the grid gives a polytope
+containing the origin: the bounds then exclude a rate pair every channel
+achieves.
 
 The caps, the feasible columns and their vertices are computed for a run:
 channels with the same forward SNRs and INRs, as the cells of one alpha row
 of the symmetric surface are, which share the event pair and every term
 but the feedback SNRs.  run_family_caps evaluates the caps once for the
-run, and run_converse_vertices enumerates the vertices of every feasible
-column of the run in one batch_vertices call.  family_caps, kappa,
-converse_region and converse_vertices are the one-channel run.
+run, and run_converse_vertices checks each channel once and enumerates the
+vertices of every feasible column of the run in one batch_vertices call.
+family_caps, kappa, converse_region and converse_vertices are the
+one-channel run.
 
 The kappa_6 / kappa_7 cap definitions include additive log2(2*pi*e) and
 2*log2(2*pi*e) constants.  They are kept verbatim even though they loosen
@@ -283,6 +287,19 @@ def _forward(p: ChannelParameters) -> tuple:
     return p.snr_fwd_1, p.snr_fwd_2, p.inr_12, p.inr_21
 
 
+def _check_run(ps) -> None:
+    """ValueError unless the channels ps share their forward SNRs and INRs."""
+    if any(_forward(q) != _forward(ps[0]) for q in ps):
+        raise ValueError("the channels of a run must share their forward SNRs and INRs")
+
+
+def _run_caps(ps, rho) -> np.ndarray:
+    """run_family_caps of a run whose channels _check_run and
+    _require_defined have passed."""
+    rho = np.asarray(rho, float)
+    return _least_of_each(_caps_by_family(ps, rho, classify_events(ps[0])), (len(ps),) + rho.shape)
+
+
 def run_family_caps(ps, rho) -> np.ndarray:
     """family_caps of each channel of a run, from one evaluation of the caps.
 
@@ -293,13 +310,10 @@ def run_family_caps(ps, rho) -> np.ndarray:
     run_family_caps(ps, rho)[:, c] is family_caps(ps[c], rho) bit for bit.
     Raises DegenerateChannelError as family_caps does.
     """
-    p = ps[0]
-    if any(_forward(q) != _forward(p) for q in ps):
-        raise ValueError("the channels of a run must share their forward SNRs and INRs")
+    _check_run(ps)
     for q in ps:
         _require_defined(q)
-    rho = np.asarray(rho, float)
-    return _least_of_each(_caps_by_family(ps, rho, classify_events(p)), (len(ps),) + rho.shape)
+    return _run_caps(ps, rho)
 
 
 def family_caps(p: ChannelParameters, rho) -> np.ndarray:
@@ -317,14 +331,18 @@ _INFEASIBLE = ("converse bound is undefined: no rho of the grid gives a polytope
                "containing the origin")
 
 
-def _run_feasible(ps, grid: GridSpec):
-    """The family caps of a run's nonempty polytopes on the correlation
-    grid (caps all finite and >= -FEASIBILITY_TOL), one column per
-    (channel, rho) in that order, the channel of each column, and their
-    vertices and the column of each, from one batch_vertices call."""
+def _rho_axis(grid: GridSpec) -> np.ndarray:
+    """The correlation grid, grid.rho_points points over [0, 1]."""
     if grid.rho_points < 2:
         raise ValueError("the converse rho grid needs at least 2 points")
-    caps = run_family_caps(ps, np.linspace(0.0, 1.0, grid.rho_points))  # (5, cells, n_rho)
+    return np.linspace(0.0, 1.0, grid.rho_points)
+
+
+def _feasible(caps: np.ndarray):
+    """The columns of caps, of shape (5, ...), that are nonempty polytopes
+    (caps all finite and >= -FEASIBILITY_TOL), one column each in C order,
+    the first index of each, and their vertices and the column of each, from
+    one batch_vertices call."""
     feasible = np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)
     caps = caps[:, feasible]
     pts, column = batch_vertices(FAMILY_COEFFS, caps)
@@ -346,44 +364,79 @@ def converse_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Regi
     polytope vertices lying on the envelope are kept as candidate extreme
     points.  Raises DegenerateChannelError when no rho of the grid gives a
     polytope containing the origin.
+
+    Each polytope's frontier is the least (cap_k - c1 R1) / c2 over the
+    families with c2 > 0, up to its R1 reach.  The frontiers are folded one
+    family at a time into one (feasible rho, samples) array, with the reach
+    applied in place: there is no (families, rho, samples) temporary.  It
+    is _region_and_caps with no other rho.
     """
-    caps, _, pts, _ = _run_feasible([p], grid)
-    if caps.shape[1] == 0:
+    return _region_and_caps(p, grid, ())[0]
+
+
+def _region_and_caps(p: ChannelParameters, grid: GridSpec, rho) -> tuple[Region, np.ndarray]:
+    """converse_region(p, grid) and family_caps(p, rho), from one
+    evaluation of the caps, and one converse guard, over the grid's rho and
+    the 1-D rho together: the caps are elementwise in rho, so each part is
+    bit for bit the caps of its own call.  exact_gap passes the inner grid's
+    rho axis, for the analytic bound.
+    """
+    axis = _rho_axis(grid)
+    caps = family_caps(p, np.concatenate([axis, np.asarray(rho, float).ravel()]))
+    feasible, _, pts, _ = _feasible(caps[:, :axis.size])
+    if feasible.shape[1] == 0:
         raise DegenerateChannelError(_INFEASIBLE)
-    # the frontier is the least (cap_k - c1 R1) / c2 over c2 > 0, up to the R1 reach
     c1, c2 = FAMILY_COEFFS.T
-    reach = _reach(caps, c1)
+    reach = _reach(feasible, c1)
     r1_grid = np.linspace(0.0, float(reach.max()), grid.frontier_samples)
 
-    r = r1_grid[None, :]
-    up = c2 > 0
-    frontier = caps[up, :, None] - c1[up, None, None] * r
-    frontier /= c2[up, None, None]  # in place: one (families, rho, samples) temporary
-    frontier = np.min(frontier, axis=0)
-    frontier = np.where(r <= reach[:, None] + FEASIBILITY_TOL, frontier, -np.inf)
-    return envelope_union(r1_grid, frontier, vertices=pts)
+    frontier, term = np.empty((2, feasible.shape[1], r1_grid.size))
+    for n, k in enumerate(np.flatnonzero(c2 > 0)):
+        out = term if n else frontier
+        out[...] = feasible[k, :, None]
+        if c1[k]:  # subtracting 0 and dividing by 1 change nothing
+            out -= c1[k] * r1_grid
+        if c2[k] != 1.0:
+            out /= c2[k]
+        if n:
+            np.minimum(frontier, term, out=frontier)
+    np.copyto(frontier, -np.inf, where=r1_grid > reach[:, None] + FEASIBILITY_TOL)
+    return envelope_union(r1_grid, frontier, vertices=pts), caps[:, axis.size:]
 
 
 def run_converse_vertices(ps, grid: GridSpec = DEFAULT_GRID) -> list:
     """converse_vertices of each channel of a run (run_family_caps), in order:
-    its (vertices, start), or, for a channel with no feasible rho, the
-    DegenerateChannelError that converse_vertices raises for it.
+    its (vertices, start), or the DegenerateChannelError that
+    converse_vertices raises for it, for a channel _require_defined refuses
+    or one with no feasible rho.
 
-    The caps are evaluated once for the run, and the vertices of every
-    feasible column of the run come from one batch_vertices call.  A
-    polytope's vertices depend on its own caps alone, so each channel's are
-    the ones a call for it alone gives, in the same order.  Any other error
-    is raised, as the DegenerateChannelError of _require_defined is for any
-    channel of the run.
+    Each channel is checked once, and the caps of the channels left are
+    evaluated once for the run; the vertices of every feasible column of the
+    run come from one batch_vertices call.  A polytope's vertices depend on
+    its own caps alone, so each channel's are the ones a call for it alone
+    gives, in the same order.  Any other error is raised.
     """
-    caps, cell, pts, column = _run_feasible(ps, grid)
+    axis = _rho_axis(grid)
+    _check_run(ps)
+    out = []
+    for q in ps:
+        try:
+            _require_defined(q)
+            out.append(None)
+        except DegenerateChannelError as exc:
+            out.append(exc)
+    ok = [c for c, got in enumerate(out) if got is None]
+    if not ok:
+        return out
+    caps, cell, pts, column = _feasible(_run_caps([ps[c] for c in ok], axis))
     c1, c2 = FAMILY_COEFFS.T
-    start = np.full(len(ps), -np.inf)
+    start = np.full(len(ok), -np.inf)
     np.maximum.at(start, cell, np.maximum(_reach(caps, c1), _reach(caps, c2)))
     np.maximum.at(start, cell[column], np.round(pts, 12).max(axis=1))
-    feasible = np.bincount(cell, minlength=len(ps)) > 0
-    return [(v, float(s)) if ok else DegenerateChannelError(_INFEASIBLE)
-            for v, s, ok in zip(group_rows(pts, cell[column], len(ps)), start, feasible)]
+    feasible = np.bincount(cell, minlength=len(ok)) > 0
+    for c, v, s, f in zip(ok, group_rows(pts, cell[column], len(ok)), start, feasible):
+        out[c] = (v, float(s)) if f else DegenerateChannelError(_INFEASIBLE)
+    return out
 
 
 def converse_vertices(p: ChannelParameters,

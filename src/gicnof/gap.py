@@ -80,31 +80,36 @@ def analytic_deltas(
     return tuple(float(o - i) for o, i in zip(outer, inner))
 
 
-def _analytic_bound_details(p: ChannelParameters, rho: np.ndarray, inner: np.ndarray):
-    """The bound and its delta components from the inner family caps.
+def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
+    """The bound and its delta components from the family caps of both sides.
 
-    rho and inner are achievability.grid_caps: the grid's 1-D correlation
-    axis and the family caps, shape (5, n_rho, n_mu, n_mu).
+    inner is achievability.grid_caps' family caps, shape (5, n_rho, n_mu,
+    n_mu), and outer converse.family_caps on the same grid's 1-D
+    correlation axis, shape (5, n_rho).
     """
-    outer = converse.family_caps(p, rho)  # (5, n_rho)
-    deltas = outer[:, :, None, None] - inner
-    shape = deltas.shape[1:]
-
-    weights = achievability.FAMILY_COEFFS.sum(axis=1)[:, None, None, None]
-    score = np.max(deltas / weights, axis=0)        # worst normalized slack
+    shape = inner.shape[1:]
+    weights = achievability.FAMILY_COEFFS.sum(axis=1)
+    score, slack = np.empty((2,) + shape)  # worst normalized slack, one family at a time
+    for k, w in enumerate(weights):
+        out = slack if k else score
+        np.subtract(outer[k, :, None, None], inner[k], out=out)
+        out /= w
+        if k:
+            np.maximum(score, slack, out=score)
     per_rho_flat = score.reshape(shape[0], -1)
     best_mu = per_rho_flat.argmin(axis=1)           # best splits at each rho
     per_rho = per_rho_flat[np.arange(shape[0]), best_mu]
     i_rho = int(per_rho.argmax())                   # worst rho wins
 
     i_mu1, i_mu2 = np.unravel_index(best_mu[i_rho], shape[1:])
-    components = tuple(float(deltas[k, i_rho, i_mu1, i_mu2]) for k in range(5))
+    components = tuple(float(outer[k, i_rho] - inner[k, i_rho, i_mu1, i_mu2]) for k in range(5))
     return float(per_rho[i_rho]), components
 
 
 def analytic_gap_bound(p: ChannelParameters, grid: GridSpec = achievability.DEFAULT_GRID) -> float:
     """Worst-over-correlation, best-over-splits normalized slack bound."""
-    bound, _ = _analytic_bound_details(p, *achievability.grid_caps(p, grid))
+    rho, caps = achievability.grid_caps(p, grid)
+    bound, _ = _analytic_bound_details(converse.family_caps(p, rho), caps)
     return bound
 
 
@@ -119,13 +124,17 @@ def exact_gap(
     channels those keep the gap stable to well under a hundredth of a bit
     under grid refinement, but not on all: doubling the grids moves the gap
     of ChannelParameters(6121.7, 289788.0, 48.454, 11705.7, 0.1455, 3199.56)
-    from 0.6856 to 0.6308 bits, all of it from the mu grid.  The inner family
-    caps are evaluated once and serve both the inner region and the analytic bound.
+    from 0.6856 to 0.6308 bits, all of it from the mu grid.  Each side's
+    family caps are evaluated once and serve both the region and the
+    analytic bound: the inner caps over the (rho, mu1, mu2) grid, and the
+    converse caps over the converse grid's rho and the inner grid's rho axis
+    together (converse._region_and_caps).
     """
     rho, caps = achievability.grid_caps(p, grid)
     inner = region_from_points(achievability.inner_cloud(p, caps), grid.frontier_samples)
-    result = deflation_gap(inner, converse.converse_region(p, converse_grid))
-    bound, components = _analytic_bound_details(p, rho, caps)
+    outer, outer_caps = converse._region_and_caps(p, converse_grid, rho)
+    result = deflation_gap(inner, outer)
+    bound, components = _analytic_bound_details(outer_caps, caps)
     return GapReport(
         exact_gap=result.gap,
         analytic_bound=bound,
@@ -151,14 +160,14 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     The cells of a run share their forward SNRs and INRs, and so their
     event pair and their rho grids; beta moves only the feedback SNR.  So
     each stage is made once for the run, not once per cell:
-      1. each cell's guards: the inner one (achievability.parameter_grids),
-         which raises for a zero INR or an overflowing power product, then
-         the converse one (converse._require_defined), which raises for an
-         overflowing INR product or kappa_3;
+      1. each cell's inner guard (achievability.parameter_grids), which
+         raises for a zero INR or an overflowing power product;
       2. the converse vertices of the cells left
-         (converse.run_converse_vertices): one evaluation of the caps and
-         one batch_vertices call, with a DegenerateChannelError for each
-         cell with no feasible rho;
+         (converse.run_converse_vertices): each cell's converse guard, which
+         refuses an overflowing INR product or kappa_3, then one evaluation
+         of the caps and one batch_vertices call, with a
+         DegenerateChannelError for each cell refused or with no feasible
+         rho;
       3. the inner family caps of the cells left (achievability.grid_caps)
          and their inner clouds (achievability.run_inner_clouds): one
          batch_vertices call for all their coarse clouds, then each cell's
@@ -177,7 +186,6 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
         try:
             achievability.parameter_grids(p, grid)
-            converse._require_defined(p)
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
             continue

@@ -24,8 +24,9 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
 
 - batch_vertices tightens every cap to its support value by 2-D LP duality
   into one table, a row per direction and a column per polytope, and walks
-  the directions in slope order, a fixed number of passes over rows of
-  length n: O(n (pairs + m)) time, O(n m) memory;
+  the directions in slope order: a fixed number of passes over rows of
+  length n per LP-dual term, then every step's corner at once, over the
+  table, O(n (pairs + m)) time and O(n m) memory;
 - vertices_outside leaves out the polytopes strictly inside an inner chain
   with q knots (for the inner sweep, the extreme points of a coarse
   sub-grid's vertices in a fan of directions) by one test in support space,
@@ -362,10 +363,10 @@ class _VertexWalk:
              multipliers are positive; j is None when the second generator
              is an axis, whose cap is 0.  These are the basic solutions of
              the LP dual of max dirs[k] . v over the polytope.
-    steps    (lead, a, b, det), one per pair of rows adjacent in the
-             counterclockwise order of their normals, bottom axis first:
-             lead is the earlier row of the pair, a < b its rows and
-             det != 0 their determinant
+    steps    (lead, a, b, det), four arrays with one entry per step, a pair
+             of rows adjacent in the counterclockwise order of their
+             normals, bottom axis first: lead is the earlier row of the
+             pair, a < b its rows and det != 0 their determinant
     """
 
     dirs: np.ndarray
@@ -419,7 +420,7 @@ def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
         det = cross(a, b)
         if abs(det) > _LAMBDA_TOL:
             steps.append((lead, a, b, det))
-    return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(steps))
+    return _VertexWalk(dirs, tuple(fold), tuple(duals), tuple(np.array(v) for v in zip(*steps)))
 
 
 def _live_caps(coeffs: np.ndarray, rhs: np.ndarray):
@@ -481,22 +482,25 @@ def _emit(walk: _VertexWalk, live: np.ndarray, h: np.ndarray, single: np.ndarray
     touches at a single vertex leads a step whose corner repeats the one
     before, which is skipped; so is a corner at infinity, where a line at
     infinity (a support value of +inf) meets another, and which is never
-    computed.
+    computed.  Every step's corner is computed at once, over the table: a
+    few array operations per call, a row per step, not a few per step.
     """
-    x = np.empty((len(walk.steps), live.size))
-    y = np.empty_like(x)
-    keep = ~single[[lead for lead, *_ in walk.steps]]
+    lead, a, b, det = walk.steps
+    keep = ~single[lead]
     keep[0] = True
-    far = None  # the lines at infinity of unbounded polytopes, which meet the others there
     if not np.isfinite(h).all():
-        far = ~np.isfinite(h)
+        far = ~np.isfinite(h)  # the lines at infinity of unbounded polytopes
         h = np.where(far, 0.0, h)
-    for s, (lead, a, b, det) in enumerate(walk.steps):
-        (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
-        x[s] = (h[a] * b1 - h[b] * a1) / det
-        y[s] = (a0 * h[b] - b0 * h[a]) / det
-        if far is not None:
-            keep[s] &= ~(far[a] | far[b])
+        keep &= ~(far[a] | far[b])
+    (a0, a1), (b0, b1), det = walk.dirs[a].T[..., None], walk.dirs[b].T[..., None], det[:, None]
+    ha, hb = h[a], h[b]  # copies, so the products below reuse them in place
+    x = ha * b1
+    term = hb * a1
+    x -= term
+    x /= det
+    y = np.multiply(a0, hb, out=hb)
+    y -= np.multiply(b0, ha, out=term)
+    y /= det
     return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
 
 
@@ -521,10 +525,11 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     caps, touches at a single vertex, which both of its neighbours already
     pass through, so the walk emits that vertex once.  So each polytope's
     vertices depend on its own caps alone, not on the rest of the batch.
-    The pair table and the order depend on coeffs alone and are computed
-    once per distinct coeffs; the per-polytope work is a fixed number of
-    array passes, O(pairs + m), with no array of shape (pairs, constraints,
-    polytopes).
+    The pair table and the steps of the walk depend on coeffs alone and are
+    computed once per distinct coeffs (_vertex_walk); the per-polytope work
+    is a fixed number of array passes, O(pairs + m): a few per dual term,
+    row by row, and a few for the corners of every step at once, with no
+    array of shape (pairs, constraints, polytopes).
 
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
@@ -569,8 +574,7 @@ def _cone_terms(walk: _VertexWalk, n1: np.ndarray, n2: np.ndarray) -> list:
     multiplier of a few ulps.
     """
     d, m = walk.dirs, len(walk.dirs) - 2
-    _, a, c, det = np.array(walk.steps).T
-    a, c = a.astype(int), c.astype(int)
+    _, a, c, det = walk.steps
     lam_a = (n1[:, None] * d[c, 1] - n2[:, None] * d[c, 0]) / det
     lam_c = (d[a, 0] * n2[:, None] - d[a, 1] * n1[:, None]) / det
     best = np.argmax(np.minimum(lam_a, lam_c), axis=1)
@@ -693,8 +697,9 @@ def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
 
     near = np.ones(live.size, bool)
     tested = np.flatnonzero(finite)
-    u = _pair_bounds(walk, caps if tested.size == live.size else caps[:, tested], rows)
-    near[tested] = ~_below(facets, u, tested.size)
+    # the bounds are freed before the tightening makes its own table
+    near[tested] = ~_below(facets, _pair_bounds(
+        walk, caps if tested.size == live.size else caps[:, tested], rows), tested.size)
     near = np.flatnonzero(near)
     return _emit(walk, live[near], *_tighten(walk, caps[:, near]))
 

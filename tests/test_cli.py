@@ -21,6 +21,9 @@ P_STAR = {"snr_fwd_1": 10, "snr_fwd_2": 10, "inr_12": 5, "inr_21": 5,
 # is variant 4
 K6_PARAMS = {n: {**dataclasses.asdict(p), "units": "linear"}
              for n, p in ((1, CHANNEL_K6_1), (2, CHANNEL_K6_2), (3, CHANNEL_K6_3))}
+# an INR below 1, where rho_domain_sup is 0 and the inner rho axis is [0.0]
+P_SUBUNITY = {"snr_fwd_1": 30.0, "snr_fwd_2": 20.0, "inr_12": 0.5, "inr_21": 8.0,
+              "snr_bwd_1": 15.0, "snr_bwd_2": 40.0, "units": "linear"}
 C_STAR = {"h_fwd_11": 1, "h_fwd_22": 1, "h_12": 1, "h_21": 1, "h_bwd_11": 1, "h_bwd_22": 1}
 C_ASYM = {"h_fwd_11": 1.3, "h_fwd_22": 0.7, "h_12": 0.4, "h_21": 1.1,
           "h_bwd_11": 0.9, "h_bwd_22": 0.2}
@@ -143,7 +146,10 @@ class TestGolden:
     collapsed onto the per-family caps arrays; a change that alters any of
     them changes the numbers the CLI prints.  The *_k6_* files, captured
     before the converse caps were rewritten over shared per-user terms, pin
-    the channels whose two halves of the sum cap take different forms.  The
+    the channels whose two halves of the sum cap take different forms.
+    gap_subunity.json, captured before exact_gap evaluated the converse caps
+    once over both rho grids, pins a channel whose inner rho axis is the one
+    point 0.0.  The
     simulate_*.json files, captured before the channel model was rewritten
     over one nonnegativity rule and one estimator map, pin the generator's
     draw order and the estimator's fields on gains no two of which are equal.
@@ -168,6 +174,12 @@ class TestGolden:
         params.write_text(json.dumps(K6_PARAMS[variant]))
         assert main(args + ["--params", str(params)]) == 0
         assert capsysbinary.readouterr().out == (GOLDEN / golden.format(variant)).read_bytes()
+
+    def test_sub_unity_inr_channel(self, tmp_path, capsysbinary):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(P_SUBUNITY))
+        assert main(["gap", "--params", str(params)]) == 0
+        assert capsysbinary.readouterr().out == (GOLDEN / "gap_subunity.json").read_bytes()
 
     @pytest.mark.parametrize("mode", ["independent", "correlated"])
     def test_simulate_asymmetric_gains(self, mode, tmp_path, capsysbinary):

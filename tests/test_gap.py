@@ -156,6 +156,17 @@ class TestGapProperties:
         outer = converse.converse_region(p_star)
         assert report.exact_gap == deflation_gap(inner, outer).gap
 
+    def test_converse_caps_evaluated_once(self, p_star, monkeypatch):
+        # one evaluation of the converse caps, over the converse grid and the
+        # inner rho axis together, and one converse guard per call
+        calls = []
+        for name in ("_caps_by_family", "_require_defined"):
+            f = getattr(converse, name)
+            monkeypatch.setattr(converse, name,
+                                lambda *args, f=f, name=name: calls.append(name) or f(*args))
+        exact_gap(p_star)
+        assert sorted(calls) == ["_caps_by_family", "_require_defined"]
+
 
 class TestVertexForm:
     """The sweep's gap, from the converse polytopes' vertices
@@ -262,7 +273,8 @@ class TestSweepSymmetric:
     def test_a_run_makes_each_batch_once(self, monkeypatch):
         # the cells of a run share their forward ratios: one evaluation of
         # the converse caps, one batch_vertices call over the converse
-        # columns and one over the coarse clouds
+        # columns and one over the coarse clouds, and one converse guard
+        # per cell
         calls = []
 
         def spy(module, name):
@@ -270,12 +282,14 @@ class TestSweepSymmetric:
             monkeypatch.setattr(module, name, lambda *args: calls.append(name) or f(*args))
 
         spy(converse, "_caps_by_family")
+        spy(converse, "_require_defined")
         spy(converse, "batch_vertices")
         spy(achievability, "batch_vertices")
         got = gap._sweep_chunk(1e4, 0.7, [0.1, 0.6, 1.1, 1.7, 2.3, 2.9],
                                achievability.DEFAULT_GRID, converse.DEFAULT_GRID)
         assert all(isinstance(cell, float) for cell in got)
-        assert sorted(calls) == ["_caps_by_family", "batch_vertices", "batch_vertices"]
+        assert sorted(calls) == ["_caps_by_family"] + ["_require_defined"] * 6 + [
+            "batch_vertices", "batch_vertices"]
 
 
 def run_script(script):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_channels
 from gicnof import achievability, geometry
@@ -203,6 +205,61 @@ class TestBatchVertices:
                 batch_vertices(np.array(coeffs), np.ones((len(coeffs), 1)))
         with pytest.raises(ValueError):
             batch_vertices(np.array(FAMILIES), np.ones((4, 2)))
+
+
+def reference_emit(walk, live, h, single):
+    """_emit one step of the walk at a time, as the reference for its one
+    expression over the table."""
+    steps = list(zip(*(v.tolist() for v in walk.steps)))
+    x, y = np.empty((2, len(steps), live.size))
+    keep = ~single[[lead for lead, *_ in steps]]
+    keep[0] = True
+    far = ~np.isfinite(h)
+    h = np.where(far, 0.0, h)
+    for s, (_, a, b, det) in enumerate(steps):
+        (a0, a1), (b0, b1) = walk.dirs[a], walk.dirs[b]
+        x[s] = (h[a] * b1 - h[b] * a1) / det
+        y[s] = (a0 * h[b] - b0 * h[a]) / det
+        keep[s] &= ~(far[a] | far[b])
+    return np.stack([x[keep], y[keep]], axis=1), np.broadcast_to(live, keep.shape)[keep]
+
+
+# direction sets: the five families; the families with rows parallel to the
+# sum and R2 rows, which fold into them; a lone R1 bound, whose row has no
+# dual term; and R1 with the sum, whose R1 row has one
+KERNEL_DIRECTIONS = (
+    FAMILIES,
+    FAMILIES + [(2.0, 2.0), (0.0, 3.0)],
+    [(1.0, 0.0)],
+    [(1.0, 0.0), (1.0, 1.0)],
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(coeffs, rhs): one of KERNEL_DIRECTIONS and caps for 1 to 30
+    polytopes, each in [1e-3, 1e3] or one of a few exact values (signed
+    zeros among them), so that dual terms tie with caps and each other, with
+    a few caps replaced by +inf, NaN and values in [-FEASIBILITY_TOL, 0)."""
+    coeffs = np.array(draw(st.sampled_from(KERNEL_DIRECTIONS)))
+    m, n = len(coeffs), draw(st.integers(1, 30))
+    ties = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    rhs = draw(arrays(float, (m, n), elements=st.one_of(st.floats(1e-3, 1e3), ties)))
+    special = st.one_of(st.floats(-FEASIBILITY_TOL, 0.0, exclude_max=True),
+                        st.just(np.inf), st.just(np.nan))
+    for _ in range(draw(st.integers(0, 6))):
+        rhs[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(special)
+    return coeffs, rhs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kernel_inputs())
+def test_the_vertex_kernel_matches_the_reference_walk(inputs):
+    coeffs, rhs = inputs
+    walk, live, caps = geometry._live_caps(coeffs, rhs.copy())
+    want_pts, want_idx = reference_emit(walk, live, *geometry._tighten(walk, caps))
+    pts, idx = batch_vertices(coeffs, rhs)
+    assert pts.tobytes() == want_pts.tobytes() and idx.tobytes() == want_idx.tobytes()
 
 
 def batch_columns(coeffs, rhs, cols):

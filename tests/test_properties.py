@@ -202,3 +202,25 @@ def test_a_sweep_run_equals_its_cells(snr_db, alpha, betas):
     run = converse.run_family_caps(ps, rho)
     for c, p in enumerate(ps):
         assert np.array_equal(run[:, c], converse.family_caps(p, rho), equal_nan=True)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_one_converse_evaluation_serves_the_envelope_and_the_analytic_bound(db):
+    # exact_gap evaluates the converse caps once, over the converse grid's
+    # rho and the inner grid's rho axis together: the caps are elementwise
+    # in rho, so each part is bit for bit the caps of its own call, and the
+    # analytic bound and its components are those evaluated on their own
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    a = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
+    b, inner = achievability.grid_caps(p, achievability.DEFAULT_GRID)
+    both = converse.family_caps(p, np.r_[a, b])
+    assert np.array_equal(both[:, :a.size], converse.family_caps(p, a), equal_nan=True)
+    assert np.array_equal(both[:, a.size:], converse.family_caps(p, b), equal_nan=True)
+    try:
+        report = gap.exact_gap(p)
+    except DegenerateChannelError:
+        return
+    assert report.analytic_bound == gap.analytic_gap_bound(p)
+    _, components = gap._analytic_bound_details(converse.family_caps(p, b), inner)
+    assert report.delta_components == components
