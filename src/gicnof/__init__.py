@@ -13,7 +13,6 @@ from .channel import (
     SignalBlock,
     SimulationConfig,
     SymmetricPoint,
-    coefficients_from_params,
     estimate_parameters,
     params_from_coefficients,
     simulate_block,
@@ -31,7 +30,6 @@ from .errors import DegenerateChannelError
 from .gap import (
     GapReport,
     GapSurface,
-    analytic_deltas,
     analytic_gap_bound,
     exact_gap,
     sweep_symmetric,
@@ -65,12 +63,10 @@ __all__ = [
     "SimulationConfig",
     "SymmetricPoint",
     "achievable_region",
-    "analytic_deltas",
     "analytic_gap_bound",
     "b_basic",
     "b_conv",
     "classify_events",
-    "coefficients_from_params",
     "contains",
     "converse_region",
     "convex_hull",

@@ -153,28 +153,6 @@ def params_from_coefficients(c: ChannelCoefficients) -> ChannelParameters:
     )
 
 
-def coefficients_from_params(p: ChannelParameters) -> ChannelCoefficients:
-    """Invert params_from_coefficients using nonnegative square roots.
-
-    The bracket in the feedback-SNR definition is always >= 1, so the
-    inversion is total on valid parameters.
-    """
-    h_fwd_11 = math.sqrt(p.snr_fwd_1)
-    h_fwd_22 = math.sqrt(p.snr_fwd_2)
-    h_12 = math.sqrt(p.inr_12)
-    h_21 = math.sqrt(p.inr_21)
-    bracket_1 = p.snr_fwd_1 + 2.0 * h_fwd_11 * h_12 + p.inr_12 + 1.0
-    bracket_2 = p.snr_fwd_2 + 2.0 * h_fwd_22 * h_21 + p.inr_21 + 1.0
-    return ChannelCoefficients(
-        h_fwd_11=h_fwd_11,
-        h_fwd_22=h_fwd_22,
-        h_12=h_12,
-        h_21=h_21,
-        h_bwd_11=math.sqrt(p.snr_bwd_1 / bracket_1),
-        h_bwd_22=math.sqrt(p.snr_bwd_2 / bracket_2),
-    )
-
-
 def _snr_power(s: SymmetricPoint, name: str) -> float:
     """s.snr to the power of the exponent field name, or a ValueError naming it."""
     try:

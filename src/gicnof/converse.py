@@ -25,21 +25,20 @@ converse_region builds the envelope, which exact_gap (its witness is a
 frontier sample) and the region command use; exact_gap takes it from
 _region_and_caps, with the caps on the inner grid's rho axis that the
 analytic bound needs, from one evaluation of the caps.  The symmetric
-sweep takes converse_vertices instead, the vertices of every nonempty
+sweep takes run_converse_vertices instead, the vertices of every nonempty
 polytope: the deflation is convex and nondecreasing, so its largest value
 over the union is reached at one of them, and the gap is the envelope's.
-Both raise DegenerateChannelError when no rho of the grid gives a polytope
+Both give DegenerateChannelError when no rho of the grid gives a polytope
 containing the origin: the bounds then exclude a rate pair every channel
 achieves.
 
 The caps, the feasible columns and their vertices are computed for a run:
 channels with the same forward SNRs and INRs, as the cells of one alpha row
 of the symmetric surface are, which share the event pair and every term
-but the feedback SNRs.  run_family_caps evaluates the caps once for the
-run, and run_converse_vertices checks each channel once and enumerates the
+but the feedback SNRs.  run_converse_vertices checks each channel once,
+evaluates the caps once for the run (_run_caps) and enumerates the
 vertices of every feasible column of the run in one batch_vertices call.
-family_caps, kappa, converse_region and converse_vertices are the
-one-channel run.
+family_caps, kappa and converse_region are the one-channel run.
 
 The kappa_6 / kappa_7 cap definitions include additive log2(2*pi*e) and
 2*log2(2*pi*e) constants.  They are kept verbatim even though they loosen
@@ -170,7 +169,7 @@ def _caps_by_family(ps, rho, ev: EventPair):
     by family in FAMILY_COEFFS order.
 
     The channels share their forward SNRs and INRs, read from ps[0]
-    (run_family_caps checks it), and differ in their feedback SNRs, which
+    (run_converse_vertices checks it), and differ in their feedback SNRs, which
     enter as arrays of shape (len(ps),) + (1,) * rho.ndim in three places:
     the b1 form's feedback gain, the b6 form's cross-feedback factor and
     kappa_3's ratio.  A cap with a feedback term has shape
@@ -294,37 +293,24 @@ def _check_run(ps) -> None:
 
 
 def _run_caps(ps, rho) -> np.ndarray:
-    """run_family_caps of a run whose channels _check_run and
-    _require_defined have passed."""
+    """family_caps of each channel of a run ps, whose channels _check_run
+    and _require_defined have passed, from one evaluation of the caps:
+    shape (5, len(ps)) + rho.shape, and column c is family_caps(ps[c], rho)
+    bit for bit."""
     rho = np.asarray(rho, float)
     return _least_of_each(_caps_by_family(ps, rho, classify_events(ps[0])), (len(ps),) + rho.shape)
-
-
-def run_family_caps(ps, rho) -> np.ndarray:
-    """family_caps of each channel of a run, from one evaluation of the caps.
-
-    A run ps is a nonempty sequence of channels with the same forward SNRs
-    and INRs (ValueError otherwise), as the cells of one alpha row of the
-    symmetric surface are: they share the event pair and every term but the
-    feedback SNRs.  Returns shape (5, len(ps)) + rho.shape, and
-    run_family_caps(ps, rho)[:, c] is family_caps(ps[c], rho) bit for bit.
-    Raises DegenerateChannelError as family_caps does.
-    """
-    _check_run(ps)
-    for q in ps:
-        _require_defined(q)
-    return _run_caps(ps, rho)
 
 
 def family_caps(p: ChannelParameters, rho) -> np.ndarray:
     """Binding converse cap per bound family; rho may be an array.
 
     Returns shape (5,) + rho.shape in FAMILY_COEFFS order: the one-channel
-    run of run_family_caps.  Raises DegenerateChannelError where
+    run of _run_caps.  Raises DegenerateChannelError where
     _require_defined does, and when a half H_j in the b6 form meets a zero
     forward SNR of user j, which b6 divides by.
     """
-    return run_family_caps([p], rho)[:, 0]
+    _require_defined(p)
+    return _run_caps([p], rho)[:, 0]
 
 
 _INFEASIBLE = ("converse bound is undefined: no rho of the grid gives a polytope "
@@ -405,16 +391,29 @@ def _region_and_caps(p: ChannelParameters, grid: GridSpec, rho) -> tuple[Region,
 
 
 def run_converse_vertices(ps, grid: GridSpec = DEFAULT_GRID) -> list:
-    """converse_vertices of each channel of a run (run_family_caps), in order:
-    its (vertices, start), or the DegenerateChannelError that
-    converse_vertices raises for it, for a channel _require_defined refuses
-    or one with no feasible rho.
+    """The vertices of every nonempty per-rho polytope of each channel of a
+    run, and the start of the deflation's bisection, in order: its
+    (vertices, start), or a DegenerateChannelError, for a channel
+    _require_defined refuses or one with no feasible rho.  A run ps is a
+    nonempty sequence of channels with the same forward SNRs and INRs
+    (ValueError otherwise).  geometry.deflate(inner, vertices, start) is
+    deflation_gap(inner, converse_region(p, grid)), with no frontier.
+
+    The deflation xi(q) is convex and nondecreasing in q (every facet normal
+    of the inner closure is nonnegative), so its largest value over the
+    union of the polytopes is reached at a vertex of one of them; the
+    sampled frontier and the envelope filter add no larger value.  The
+    start is deflation_gap's, the largest coordinate of its candidates: the
+    largest R1 and R2 reaches, which the frontier samples reach, and the
+    largest coordinate of the envelope vertices, which envelope_union rounds
+    to 12 decimals.  The rounding is repeated here over every vertex, so
+    that the two bisections start at the same float.
 
     Each channel is checked once, and the caps of the channels left are
-    evaluated once for the run; the vertices of every feasible column of the
-    run come from one batch_vertices call.  A polytope's vertices depend on
-    its own caps alone, so each channel's are the ones a call for it alone
-    gives, in the same order.  Any other error is raised.
+    evaluated once for the run (_run_caps); the vertices of every feasible
+    column of the run come from one batch_vertices call.  A polytope's
+    vertices depend on its own caps alone, so each channel's are the ones a
+    run of it alone gives, in the same order.  Any other error is raised.
     """
     axis = _rho_axis(grid)
     _check_run(ps)
@@ -437,27 +436,3 @@ def run_converse_vertices(ps, grid: GridSpec = DEFAULT_GRID) -> list:
     for c, v, s, f in zip(ok, group_rows(pts, cell[column], len(ok)), start, feasible):
         out[c] = (v, float(s)) if f else DegenerateChannelError(_INFEASIBLE)
     return out
-
-
-def converse_vertices(p: ChannelParameters,
-                      grid: GridSpec = DEFAULT_GRID) -> tuple[np.ndarray, float]:
-    """The vertices of every nonempty per-rho polytope, and the start of the
-    deflation's bisection: geometry.deflate(inner, *converse_vertices(p, grid))
-    is deflation_gap(inner, converse_region(p, grid)), with no frontier.  It
-    is the one-channel run of run_converse_vertices.
-
-    The deflation xi(q) is convex and nondecreasing in q (every facet normal
-    of the inner closure is nonnegative), so its largest value over the
-    union of the polytopes is reached at a vertex of one of them; the
-    sampled frontier and the envelope filter add no larger value.  The
-    start is deflation_gap's, the largest coordinate of its candidates: the
-    largest R1 and R2 reaches, which the frontier samples reach, and the
-    largest coordinate of the envelope vertices, which envelope_union rounds
-    to 12 decimals.  The rounding is repeated here over every vertex, so
-    that the two bisections start at the same float.  Raises
-    DegenerateChannelError as converse_region does.
-    """
-    (got,) = run_converse_vertices([p], grid)
-    if isinstance(got, DegenerateChannelError):
-        raise got
-    return got

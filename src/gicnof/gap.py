@@ -61,25 +61,6 @@ class GapSurface:
             raise ValueError("gap matrix shape does not match the grids")
 
 
-def analytic_deltas(
-    p: ChannelParameters, rho: float, mu1: float, mu2: float
-) -> tuple[float, float, float, float, float]:
-    """Per-family converse-minus-achievable slack at a shared correlation.
-
-    rho must lie in the inner bound's admissible domain since it is threaded
-    through both sides.
-    """
-    for name, v in (("mu1", mu1), ("mu2", mu2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    sup = achievability.rho_domain_sup(p)
-    if rho < 0.0 or rho > sup + 1e-12:
-        raise ValueError(f"rho={rho} outside the shared domain [0, {sup}]")
-    inner = achievability.family_caps(p, rho, mu1, mu2)
-    outer = converse.family_caps(p, np.asarray([rho]))[:, 0]
-    return tuple(float(o - i) for o, i in zip(outer, inner))
-
-
 def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
     """The bound and its delta components from the family caps of both sides.
 

@@ -8,7 +8,6 @@ from gicnof import (
     ChannelParameters,
     SimulationConfig,
     SymmetricPoint,
-    coefficients_from_params,
     estimate_parameters,
     params_from_coefficients,
     simulate_block,
@@ -47,31 +46,6 @@ class TestParamsFromCoefficients:
             p = params_from_coefficients(c)
             assert p.snr_bwd_1 >= c.h_bwd_11**2 - 1e-12
             assert p.snr_bwd_2 >= c.h_bwd_22**2 - 1e-12
-
-
-class TestCoefficientsFromParams:
-    def test_unit_case_inverse(self):
-        c = coefficients_from_params(ChannelParameters(1, 1, 1, 1, 5, 5))
-        assert c.h_fwd_11 == 1.0 and c.h_12 == 1.0
-        assert c.h_bwd_11 == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_feedback(self):
-        c = coefficients_from_params(ChannelParameters(1, 1, 1, 1, 0, 0))
-        assert c.h_bwd_11 == 0.0 and c.h_bwd_22 == 0.0
-
-    def test_hand_inverse(self):
-        c = coefficients_from_params(ChannelParameters(4, 1, 1, 1, 90, 1))
-        assert c.h_bwd_11 == pytest.approx(3.0, rel=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            vals = rng.uniform(0.0, 1e6, size=6)
-            p = ChannelParameters(*vals)
-            q = params_from_coefficients(coefficients_from_params(p))
-            for name in ("snr_fwd_1", "snr_fwd_2", "inr_12", "inr_21", "snr_bwd_1", "snr_bwd_2"):
-                a, b = getattr(p, name), getattr(q, name)
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 class TestSymmetricParams:

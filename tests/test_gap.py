@@ -15,7 +15,6 @@ from gicnof import (
     DegenerateChannelError,
     GridSpec,
     SymmetricPoint,
-    analytic_deltas,
     analytic_gap_bound,
     deflation_gap,
     exact_gap,
@@ -27,9 +26,15 @@ from gicnof.geometry import deflate
 from conftest import as_oracle, channels_with_unit_inr, random_channels, swap_users
 
 
+def slack(p, rho, mu1, mu2):
+    """The outer caps minus the inner caps at one (rho, mu1, mu2)."""
+    outer = converse.family_caps(p, [rho])[:, 0]
+    return tuple(float(d) for d in outer - achievability.family_caps(p, rho, mu1, mu2))
+
+
 class TestAnalyticDeltas:
     def test_reference_term_by_term(self, p_star):
-        got = analytic_deltas(p_star, 0.0, 0.5, 0.5)
+        got = slack(p_star, 0.0, 0.5, 0.5)
         want = oracle.delta_components(as_oracle(p_star), 0.0, 0.5, 0.5)
         assert got == pytest.approx(want, rel=1e-9)
         # first component: min(2, 2, 2.0138) - min(1.5, a6+a3, a1+a3+a4)
@@ -41,7 +46,7 @@ class TestAnalyticDeltas:
             sup = achievability.rho_domain_sup(p)
             rho = float(rng.uniform(0.0, sup)) if sup > 0 else 0.0
             mu1, mu2 = (float(x) for x in rng.uniform(size=2))
-            got = analytic_deltas(p, rho, mu1, mu2)
+            got = slack(p, rho, mu1, mu2)
             want = oracle.delta_components(as_oracle(p), rho, mu1, mu2)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -53,14 +58,10 @@ class TestAnalyticDeltas:
             for _ in range(10):
                 rho = float(rng.uniform(0.0, sup)) if sup > 0 else 0.0
                 mu1, mu2 = (float(x) for x in rng.uniform(0.05, 0.95, size=2))
-                deltas = analytic_deltas(p, rho, mu1, mu2)
+                deltas = slack(p, rho, mu1, mu2)
                 assert all(np.isfinite(d) for d in deltas)
                 count += 1
         assert count == 1000
-
-    def test_rho_outside_domain_rejected(self, p_star):
-        with pytest.raises(ValueError):
-            analytic_deltas(p_star, 0.95, 0.5, 0.5)  # sup is 0.8
 
 
 class TestAnalyticGapBound:
@@ -170,20 +171,24 @@ class TestGapProperties:
 
 class TestVertexForm:
     """The sweep's gap, from the converse polytopes' vertices
-    (converse.converse_vertices and geometry.deflate), is deflation_gap's
+    (converse.run_converse_vertices and geometry.deflate), is deflation_gap's
     over the converse envelope, bit for bit."""
 
     def test_equals_the_envelope_gap(self):
         for p in random_channels(200, 20260401):
             inner = achievability.achievable_region(p)
             want = deflation_gap(inner, converse.converse_region(p)).gap
-            assert deflate(inner, *converse.converse_vertices(p)).gap.hex() == want.hex()
+            (outer,) = converse.run_converse_vertices([p])
+            assert deflate(inner, *outer).gap.hex() == want.hex()
         # with all six ratios at -20 dB no rho of the grid is feasible: the
         # bounds exclude the origin, so neither form has a gap to give
         p = ChannelParameters(*[0.01] * 6)
-        for f in (converse.converse_region, converse.converse_vertices, exact_gap):
+        (got,) = converse.run_converse_vertices([p])
+        for f in (converse.converse_region, exact_gap):
             with pytest.raises(DegenerateChannelError, match="no rho of the grid"):
                 f(p)
+        with pytest.raises(DegenerateChannelError, match="no rho of the grid"):
+            raise got
 
 
 class TestSweepSymmetric:

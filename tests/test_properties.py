@@ -1,7 +1,9 @@
 """Property tests of the vertex kernel on generated batches of family caps,
 and of the inner bounds against the formula oracle, the converse
-polytopes' vertices, the sandwich, the user swap of both caps arrays and
-the sweep's runs on generated channels."""
+polytopes' vertices, the sandwich, more feedback, the user swap and the
+sweep's runs on generated channels."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from gicnof import (  # noqa: E402
     symmetric_params,
 )
 from gicnof.geometry import (  # noqa: E402
+    BISECTION_TOL,
     FEASIBILITY_TOL,
     _xi,
     batch_vertices,
@@ -117,6 +120,21 @@ def test_every_inner_bound_matches_the_formula_oracle(db, t, mu1, mu2):
         assert [float(v) for v in members] == pytest.approx(want[fam], rel=1e-9, abs=1e-12)
 
 
+@settings(PROPERTY, max_examples=200)
+@given(st.tuples(DB, DB, st.floats(0.0, 80.0), st.floats(0.0, 80.0), DB, DB),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_the_b2_floor_at_the_domain_sup_moves_no_bound_by_1e_8(db, mu1, mu2):
+    # the case the property above leaves out: at rho_domain_sup the floor
+    # clips a raw b2 of about -1e-16 * INR, which moves a bound by about
+    # 1e-9 bits at 80 dB
+    p = ChannelParameters(*10.0 ** (np.array(db) / 10.0))
+    rho = achievability.rho_domain_sup(p)
+    want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
+    got = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    for fam, members in zip(FAMILIES, got, strict=True):
+        assert [float(v) for v in members] == pytest.approx(want[fam], rel=0.0, abs=1e-8)
+
+
 def largest_xi(inner, points):
     """max(0, largest xi) over the points with no negative coordinate, the
     candidates geometry.deflate keeps."""
@@ -134,7 +152,7 @@ def test_no_envelope_point_deflates_further_than_a_polytope_vertex(db):
     outer = converse.converse_region(p)
     envelope = np.vstack([np.column_stack([outer.frontier_r1, outer.frontier_r2]),
                           outer.vertices])
-    vertices, _ = converse.converse_vertices(p)
+    ((vertices, _),) = converse.run_converse_vertices([p])
     assert largest_xi(inner, envelope) <= largest_xi(inner, vertices) + 1e-12
 
 
@@ -146,6 +164,32 @@ def test_every_inner_vertex_lies_in_the_converse(db):
     outer = converse.converse_region(p)
     for v in achievability.achievable_region(p).vertices:
         assert contains(outer, v, 1e-9), v
+
+
+def assert_inside(region, points):
+    """Every point lies in region within 1e-12 of its largest coordinate."""
+    for v in points:
+        assert contains(region, v, 1e-12 * np.abs(v).max()), v
+
+
+@settings(PROPERTY, max_examples=100)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)),
+       st.sampled_from(["snr_bwd_1", "snr_bwd_2"]), st.floats(0.0, 30.0))
+def test_more_feedback_never_shrinks_a_region(db, name, more_db):
+    # the converse is checked at its caps: its envelope's vertices against
+    # the other envelope's sampled frontier, which cannot follow a vertical
+    # edge, stick out by up to 0.01 bits
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    q = dataclasses.replace(p, **{name: getattr(p, name) * 10.0 ** (more_db / 10.0)})
+    rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
+    less, more = converse.family_caps(p, rho), converse.family_caps(q, rho)
+    assert np.all(more >= less)  # a -inf cap may become finite, never the reverse
+    less, more = (achievability.grid_caps(x, achievability.DEFAULT_GRID)[1] for x in (p, q))
+    assert np.all(more >= less - 1e-12 * np.abs(less))
+    inner = achievability.achievable_region(p)
+    assert_inside(achievability.achievable_region(q),
+                  np.vstack([inner.vertices, np.column_stack([inner.frontier_r1,
+                                                               inner.frontier_r2])]))
 
 
 def test_the_converse_raises_where_no_rho_is_feasible():
@@ -180,6 +224,17 @@ def test_swapping_the_users_permutes_both_caps_arrays(db):
                      inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
 
 
+@settings(PROPERTY, max_examples=60)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_swapping_the_users_keeps_the_gap_and_mirrors_the_inner_region(db):
+    # the converse envelope is sampled along R1, so its mirror is no check
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    inner = achievability.achievable_region(p)
+    assert_inside(achievability.achievable_region(swap_users(p)), inner.vertices[:, ::-1])
+    got, want = gap.exact_gap(swap_users(p)).exact_gap, gap.exact_gap(p).exact_gap
+    assert abs(got - want) <= BISECTION_TOL
+
+
 @settings(PROPERTY, max_examples=30)
 @given(st.floats(10.0, 60.0), st.floats(0.1, 1.6),
        st.lists(st.floats(0.1, 3.0), min_size=1, max_size=8))
@@ -199,7 +254,7 @@ def test_a_sweep_run_equals_its_cells(snr_db, alpha, betas):
             want = str(exc)
         assert (cell if isinstance(cell, str) else cell.hex()) == want
     rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
-    run = converse.run_family_caps(ps, rho)
+    run = converse._run_caps(ps, rho)
     for c, p in enumerate(ps):
         assert np.array_equal(run[:, c], converse.family_caps(p, rho), equal_nan=True)
 
