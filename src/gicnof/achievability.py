@@ -97,7 +97,12 @@ def _require_defined(p: ChannelParameters) -> None:
 
 
 def rho_domain_sup(p: ChannelParameters) -> float:
-    """Upper end of the admissible input-correlation interval."""
+    """Upper end of the admissible input-correlation interval, 1 - 1/min(INR).
+
+    It is 0 when either INR is at most 1, and the rho axis is then the single
+    point 0.  From an INR of 2**54 (about 162.6 dB) on it is exactly 1.0, and
+    the analytic bound's R1 and R2 slacks read negative there.
+    """
     _require_defined(p)
     return max(0.0, 1.0 - max(1.0 / p.inr_12, 1.0 / p.inr_21))
 
@@ -180,7 +185,7 @@ def a7(p: ChannelParameters, i: int, rho, mu1, mu2):
     return _coefficients(p, rho, mu1, mu2)[i][6]
 
 
-def bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
+def _bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
     """Right-hand sides of the seventeen bounds, one tuple per family in
     FAMILY_COEFFS order, as converse._caps_by_family gives the converse's.
 
@@ -223,7 +228,7 @@ def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
     converse.family_caps.
     """
     shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
-    return _least_of_each(bound_rhs_arrays(p, rho, mu1, mu2), shape)
+    return _least_of_each(_bound_rhs_arrays(p, rho, mu1, mu2), shape)
 
 
 def _least_of_each(families, shape: tuple) -> np.ndarray:
@@ -389,7 +394,7 @@ def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     vertex, and only the others are walked.  Their vertices, less those
     strictly inside the chain (geometry.strictly_inside: most of them), and
     the corners are the cloud, in walk order, since a hull depends on the
-    set of its points alone (geometry.convex_hulls); only a cloud with a
+    set of its points alone (geometry._convex_hulls); only a cloud with a
     coordinate below zero still passes the dominance prefilter.  The hull
     is the one the unpruned sweep gives.
     """

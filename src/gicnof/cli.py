@@ -39,22 +39,18 @@ PARAM_FIELDS = tuple(f.name for f in fields(ChannelParameters))
 COEFF_FIELDS = tuple(f.name for f in fields(ChannelCoefficients))
 
 
-class CliError(ValueError):
-    """Input validation failure; message names the offending field or flag."""
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags; route everything through CliError instead
+    # argparse exits 2 on bad flags; raise ValueError instead, which main exits 1 for
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
-def db_to_linear(db: float, what: str) -> float:
+def _db_to_linear(db: float, what: str) -> float:
     """db in linear scale; what names the field or flag it came from."""
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:
-        raise CliError(f"{what}: {db} dB is too large for a float in linear scale") from None
+        raise ValueError(f"{what}: {db} dB is too large for a float in linear scale") from None
 
 
 def _fmt(x: float) -> str:
@@ -70,58 +66,58 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(f"{path} must contain a JSON object")
+        raise ValueError(f"{path} must contain a JSON object")
     return data
 
 
-def load_params_file(path: str) -> ChannelParameters:
+def _load_params_file(path: str) -> ChannelParameters:
     """Read the six-ratio parameter file, converting dB to linear if needed."""
     data = _load_json(path)
     units = data.get("units")
     if units not in ("db", "linear"):
-        raise CliError(f"field 'units' must be 'db' or 'linear', got {units!r}")
+        raise ValueError(f"field 'units' must be 'db' or 'linear', got {units!r}")
     values = {}
     for name in PARAM_FIELDS:
         if name not in data:
-            raise CliError(f"missing field '{name}'")
+            raise ValueError(f"missing field '{name}'")
         v = data[name]
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise CliError(f"field '{name}' must be a finite number, got {v!r}")
-        values[name] = db_to_linear(float(v), f"field '{name}'") if units == "db" else float(v)
+            raise ValueError(f"field '{name}' must be a finite number, got {v!r}")
+        values[name] = _db_to_linear(float(v), f"field '{name}'") if units == "db" else float(v)
     for name, v in values.items():
         if v < 0.0:
-            raise CliError(f"field '{name}' must be >= 0 in linear scale, got {v}")
+            raise ValueError(f"field '{name}' must be >= 0 in linear scale, got {v}")
     return ChannelParameters(**values)
 
 
-def load_coeffs_file(path: str) -> ChannelCoefficients:
+def _load_coeffs_file(path: str) -> ChannelCoefficients:
     data = _load_json(path)
     values = {}
     for name in COEFF_FIELDS:
         if name not in data:
-            raise CliError(f"missing field '{name}'")
+            raise ValueError(f"missing field '{name}'")
         v = data[name]
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v < 0:
-            raise CliError(f"field '{name}' must be a finite number >= 0, got {v!r}")
+            raise ValueError(f"field '{name}' must be a finite number >= 0, got {v!r}")
         values[name] = float(v)
     return ChannelCoefficients(**values)
 
 
-def parse_range(spec: str, flag: str) -> np.ndarray:
+def _parse_range(spec: str, flag: str) -> np.ndarray:
     """Parse start:stop:step, inclusive of stop within half a step."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise CliError(f"flag '{flag}' expects start:stop:step, got {spec!r}")
+        raise ValueError(f"flag '{flag}' expects start:stop:step, got {spec!r}")
     try:
         start, stop, step = (float(x) for x in parts)
     except ValueError:
-        raise CliError(f"flag '{flag}': non-numeric range component in {spec!r}") from None
+        raise ValueError(f"flag '{flag}': non-numeric range component in {spec!r}") from None
     if step <= 0 or stop < start:
-        raise CliError(f"flag '{flag}': need stop >= start and step > 0 in {spec!r}")
+        raise ValueError(f"flag '{flag}': need stop >= start and step > 0 in {spec!r}")
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     return start + step * np.arange(count)
 
@@ -152,8 +148,8 @@ def _region_rows(which: str, region) -> list[str]:
     return rows
 
 
-def cmd_region(args) -> int:
-    p = load_params_file(args.params)
+def _cmd_region(args) -> int:
+    p = _load_params_file(args.params)
     ach_grid, conv_grid = _grids_from_args(args)
     rows = ["which,kind,r1,r2"]
     if args.which in ("achievable", "both"):
@@ -164,8 +160,8 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
-def cmd_gap(args) -> int:
-    p = load_params_file(args.params)
+def _cmd_gap(args) -> int:
+    p = _load_params_file(args.params)
     ach_grid, conv_grid = _grids_from_args(args)
     report = gap.exact_gap(p, ach_grid, conv_grid)
     ev = converse.classify_events(p)
@@ -181,12 +177,12 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    alphas = parse_range(args.alpha, "--alpha")
-    betas = parse_range(args.beta, "--beta")
-    snr = db_to_linear(args.snr_db, "flag '--snr-db'")
+def _cmd_sweep(args) -> int:
+    alphas = _parse_range(args.alpha, "--alpha")
+    betas = _parse_range(args.beta, "--beta")
+    snr = _db_to_linear(args.snr_db, "flag '--snr-db'")
     if snr <= 1.0:
-        raise CliError("flag '--snr-db': the symmetric sweep needs snr > 1 (0 dB)")
+        raise ValueError("flag '--snr-db': the symmetric sweep needs snr > 1 (0 dB)")
     ach_grid, conv_grid = _grids_from_args(args)
     surface = gap.sweep_symmetric(snr, alphas, betas, ach_grid, conv_grid)
     rows = ["alpha,beta,exact_gap,status"]
@@ -200,8 +196,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    p = load_params_file(args.params)
+def _cmd_classify(args) -> int:
+    p = _load_params_file(args.params)
     ev = converse.classify_events(p)
     v6 = converse.k6_variant(ev)
     v71 = converse.k7_variant(ev, 1)
@@ -212,8 +208,8 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    c = load_coeffs_file(args.coeffs)
+def _cmd_simulate(args) -> int:
+    c = _load_coeffs_file(args.coeffs)
     mode = "fully-correlated" if args.mode == "correlated" else "independent"
     cfg = SimulationConfig(block_length=args.samples, delay=1, seed=args.seed, input_mode=mode)
     block = simulate_block(c, cfg)
@@ -239,7 +235,7 @@ def _add_grid_flags(sp) -> None:
     sp.add_argument("--frontier-samples", type=int, default=None, help="frontier sampling resolution")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gicnof", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -248,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("achievable", "converse", "both"), default="both")
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.set_defaults(func=cmd_region)
+    sp.set_defaults(func=_cmd_region)
 
     sp = sub.add_parser("gap", help="exact and analytic gap as JSON")
     sp.add_argument("--params", required=True)
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_gap)
+    sp.set_defaults(func=_cmd_gap)
 
     sp = sub.add_parser("sweep", help="symmetric (alpha, beta) gap surface as CSV")
     sp.add_argument("--snr-db", type=float, required=True, help="forward SNR in dB")
@@ -262,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", required=True, help="range start:stop:step")
     _add_grid_flags(sp)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("classify", help="print the scenario pair and cap variants")
     sp.add_argument("--params", required=True)
-    sp.set_defaults(func=cmd_classify)
+    sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo check of the parameter definitions")
     sp.add_argument("--coeffs", required=True, help="JSON coefficient file")
@@ -274,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=("independent", "correlated"), default="correlated")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -34,7 +34,7 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   tightening.  Only the w polytopes it keeps are tightened and walked, so
   the k candidate vertices come from w polytopes, not from n (the argument
   is in vertices_outside);
-- convex_hulls is a quickhull on the k candidates with no sort of its
+- _convex_hulls is a quickhull on the k candidates with no sort of its
   input, run level-synchronously: each depth of the recursion is one
   vectorized pass of O(k) over the pending edges of every cloud of a batch,
   9 passes for a 67-vertex hull of the inner sweep instead of one Python
@@ -111,11 +111,6 @@ class RateRegionPolytope:
         if r1 < -tol or r2 < -tol:
             return False
         return all(b.c1 * r1 + b.c2 * r2 <= b.rhs + tol for b in self.bounds)
-
-    def is_empty(self, tol: float = FEASIBILITY_TOL) -> bool:
-        # coefficients are nonnegative, so the origin is feasible iff all
-        # right-hand sides are, and the polytope is nonempty iff the origin is in it
-        return any(b.rhs < -tol for b in self.bounds)
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,7 @@ def _lex_order(pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
 
-def convex_hulls(clouds: Iterable) -> list[np.ndarray]:
+def _convex_hulls(clouds: Iterable) -> list[np.ndarray]:
     """The counterclockwise convex hull of every cloud, collinear points removed.
 
     Quickhull, seeded from each cloud's lexicographically smallest and
@@ -342,8 +337,8 @@ def convex_hulls(clouds: Iterable) -> list[np.ndarray]:
 
 
 def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
-    """convex_hulls of the one cloud points."""
-    return convex_hulls([points])[0]
+    """_convex_hulls of the one cloud points."""
+    return _convex_hulls([points])[0]
 
 
 _AXES = np.array([[-1.0, 0.0], [0.0, -1.0]])  # R1 >= 0 and R2 >= 0 as upper bounds
@@ -788,7 +783,7 @@ def regions_from_points(clouds: Iterable[np.ndarray],
     exact piecewise-linear interpolation.
     """
     regions = []
-    for hull in convex_hulls([_anchored(pts) for pts in clouds]):
+    for hull in _convex_hulls([_anchored(pts) for pts in clouds]):
         chain = pareto_vertices(hull)
         grid = np.linspace(0.0, float(hull[:, 0].max()), frontier_samples)
         regions.append(Region(
@@ -805,19 +800,15 @@ def region_from_points(points: np.ndarray, frontier_samples: int = FRONTIER_SAMP
     return regions_from_points([points], frontier_samples)[0]
 
 
-def envelope_union(
-    r1_grid: np.ndarray,
-    values: np.ndarray,
-    vertices: np.ndarray | None = None,
-) -> Region:
+def envelope_union(r1_grid: np.ndarray, values: np.ndarray, vertices: np.ndarray) -> Region:
     """Pointwise-maximum union of frontiers sampled on one R1 grid.
 
     values holds one frontier per row, shape (k, len(r1_grid)) with k >= 1.
     Missing coverage is expressed with -inf frontier values; the result is
-    clipped at zero so the region always contains the origin.  When the
-    contributing polytopes' vertices are supplied, those lying on the envelope
-    (within 1e-7, scale-relative) are kept as the region's candidate extreme
-    points, ordered by descending R1; otherwise the frontier samples are.
+    clipped at zero so the region always contains the origin.  Of the
+    contributing polytopes' vertices, those lying on the envelope (within
+    1e-7, scale-relative) are kept as the region's candidate extreme points,
+    ordered by descending R1.
     """
     grid = np.asarray(r1_grid, float)
     values = np.asarray(values, float)
@@ -826,13 +817,10 @@ def envelope_union(
                          f"frontier, got a {values.shape} matrix")
     env = np.maximum(values.max(axis=0), 0.0)
 
-    if vertices is not None:
-        pts = np.asarray(vertices, float).reshape(-1, 2)
-        scale = max(1.0, float(env.max()), float(grid[-1]))
-        on_env = pts[:, 1] >= np.interp(pts[:, 0], grid, env) - 1e-7 * scale
-        verts = np.unique(np.round(pts[on_env], 12), axis=0)[::-1]
-    else:
-        verts = np.column_stack([grid, env])[::-1]
+    pts = np.asarray(vertices, float).reshape(-1, 2)
+    scale = max(1.0, float(env.max()), float(grid[-1]))
+    on_env = pts[:, 1] >= np.interp(pts[:, 0], grid, env) - 1e-7 * scale
+    verts = np.unique(np.round(pts[on_env], 12), axis=0)[::-1]
     return Region(vertices=verts, frontier_r1=grid, frontier_r2=env, convex=False)
 
 

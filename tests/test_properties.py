@@ -115,7 +115,7 @@ def test_every_inner_bound_matches_the_formula_oracle(db, t, mu1, mu2):
     rho = t * achievability.rho_domain_sup(p)
     assume(all(achievability.b_basic(p, i, rho)[1] >= 0.0 for i in (1, 2)))
     want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
-    got = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    got = achievability._bound_rhs_arrays(p, rho, mu1, mu2)
     for fam, members in zip(FAMILIES, got, strict=True):
         assert [float(v) for v in members] == pytest.approx(want[fam], rel=1e-9, abs=1e-12)
 
@@ -130,7 +130,7 @@ def test_the_b2_floor_at_the_domain_sup_moves_no_bound_by_1e_8(db, mu1, mu2):
     p = ChannelParameters(*10.0 ** (np.array(db) / 10.0))
     rho = achievability.rho_domain_sup(p)
     want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
-    got = achievability.bound_rhs_arrays(p, rho, mu1, mu2)
+    got = achievability._bound_rhs_arrays(p, rho, mu1, mu2)
     for fam, members in zip(FAMILIES, got, strict=True):
         assert [float(v) for v in members] == pytest.approx(want[fam], rel=0.0, abs=1e-8)
 

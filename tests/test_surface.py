@@ -1,12 +1,18 @@
 """A census of the public surface: each public top-level function or class
-of a gicnof module has a user, and every name gicnof exports resolves.
+of a gicnof module, and each public method or property of such a class, has
+a user; every name gicnof exports resolves; and every module name README's
+code gives resolves.
 
-A user is the code of a gicnof module other than __init__.py (an export
-alone is no use), of the benchmark (perfbench/*.py) or of the acceptance
-suite that refers to the name, or README.md, which names it in code.  A
-name with no user belongs in the tests or goes."""
+A user of a module's name is the code of another gicnof module than that
+one and __init__.py (an export alone is no use, nor a module's use of its
+own names), of the benchmark (perfbench/*.py) or of the acceptance suite
+that refers to the name, or README.md, which names it in code.  A public
+class that a used public function names in its return annotation is used
+too: a caller holds its instances.  A name with no user belongs in the
+tests or goes."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -15,6 +21,8 @@ import gicnof
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gicnof"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README_MODULES = ("achievability", "converse", "geometry", "gap", "channel", "cli", "errors")
+FILE_SUFFIXES = {"csv", "json", "md", "py", "toml", "txt", "yml"}
 
 
 def names_referred_to(path):
@@ -32,27 +40,69 @@ def names_referred_to(path):
 
 
 def public_definitions(path):
-    """The public top-level functions and classes of path."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node.name for node in ast.parse(path.read_bytes(), str(path)).body
-            if isinstance(node, kinds) and not node.name.startswith("_")]
+    """(qualified name, name, names in its return annotation) of each public
+    top-level function and class of path, and of each public method and
+    property of its public classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def public(body, prefix=""):
+        for node in body:
+            if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+                returns = getattr(node, "returns", None)
+                yield (prefix + node.name, node.name,
+                       {n.id for n in ast.walk(returns) if isinstance(n, ast.Name)}
+                       if returns is not None else set())
+                if isinstance(node, ast.ClassDef):
+                    yield from public([n for n in node.body if isinstance(n, functions)],
+                                      node.name + ".")
+
+    return list(public(ast.parse(path.read_bytes(), str(path)).body))
 
 
-def names_in_readme():
-    """The identifiers in README.md's code: its fenced blocks and its
-    inline code spans."""
-    parts = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
-    code = parts[1::2] + [span for text in parts[::2] for span in re.findall(r"`([^`]+)`", text)]
-    return {name for text in code for name in re.findall(r"[A-Za-z_]\w*", text)}
+def readme_code(section=""):
+    """The code of README.md, or of its section headed section: the fenced
+    blocks and the inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    if section:
+        text = text[text.index(f"\n{section}\n"):]
+        text = text[:text.find("\n#", 1)]
+    parts = text.split("```")
+    return parts[1::2] + [span for text in parts[::2] for span in re.findall(r"`([^`]+)`", text)]
+
+
+def unused_public_names():
+    shared = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+    shared_names = {name for text in readme_code() for name in re.findall(r"[A-Za-z_]\w*", text)}
+    shared_names = shared_names.union(*map(names_referred_to, shared))
+    referred = {module: names_referred_to(module) for module in MODULES}
+    definitions = [(module, *d) for module in MODULES for d in public_definitions(module)]
+    used = {(module, qualname) for module, qualname, name, _ in definitions
+            if name in shared_names.union(*(referred[m] for m in MODULES if m != module))}
+    returned = set().union(*(returns for module, qualname, _, returns in definitions
+                             if (module, qualname) in used))
+    used |= {(module, qualname) for module, qualname, name, _ in definitions
+             if name in returned and "." not in qualname}
+    return [f"{module.stem}.{qualname}" for module, qualname, _, _ in definitions
+            if (module, qualname) not in used]
 
 
 def test_every_public_name_has_a_user():
-    code = [*MODULES, ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
-    used = names_in_readme().union(*map(names_referred_to, code))
-    unused = [f"{module.stem}.{name}" for module in MODULES
-              for name in public_definitions(module) if name not in used]
-    assert unused == []
+    assert unused_public_names() == []
 
 
 def test_every_export_resolves():
     assert [name for name in gicnof.__all__ if not hasattr(gicnof, name)] == []
+
+
+def test_every_name_readme_gives_resolves():
+    modules = "|".join(README_MODULES)
+    named = {(module, name) for text in readme_code()
+             for module, name in re.findall(rf"(?<![\w.])({modules})\.(\w+)", text)
+             if name not in FILE_SUFFIXES}
+    assert named
+    assert sorted(f"{module}.{name}" for module, name in named
+                  if not hasattr(importlib.import_module(f"gicnof.{module}"), name)) == []
+    quick_start = {name for text in readme_code("## Library quick start")
+                   for name in re.findall(r"(?<![\w.])g\.(\w+)", text)}
+    assert quick_start
+    assert sorted(name for name in quick_start if not hasattr(gicnof, name)) == []
