@@ -46,7 +46,18 @@ The walked vertices strictly inside the chain, most of them, are dropped
 before the hull (geometry.strictly_inside), by the same argument.  The
 symmetric sweep builds the clouds of a run of cells together
 (run_inner_clouds), with one vertex batch for all their coarse clouds;
-inner_cloud is the one-cell run.
+_inner_cloud is the one-cell run.
+
+The inner pass holds no array over the whole grid.  It takes the grid's
+rho rows in slabs (_slab_rows), each one family_caps call whose
+(rho, mu1, mu2) arrays hold at most SLAB_BYTES, the one budget.  Slab 0
+holds every coarse row, so the coarse cloud and the chain come from it;
+then each slab in turn, slab 0 first, is pruned and walked and dropped.
+exact_gap and analytic_gap_bound score each slab for the analytic bound
+as it passes.  Each step works per polytope or per rho, and the hull
+depends on its point set alone, so every output is the whole grid's, bit
+for bit; the default grid is one slab, so there the calls and arrays are
+the whole grid's too.
 """
 
 from __future__ import annotations
@@ -255,32 +266,65 @@ def parameter_grids(p: ChannelParameters, grid: GridSpec):
     return rho[:, None, None], mu[None, :, None], mu[None, None, :]
 
 
-SLAB_BYTES = 128 * 1024  # grid_caps' budget for one (rho, mu1, mu2) temporary of family_caps
+SLAB_BYTES = 128 * 1024  # the inner pass's budget: one (rho, mu1, mu2) array of a slab
 
 
-def grid_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter grid's 1-D correlation axis, and family_caps over the grid.
+def _slab_rows(n_rho: int, n_mu: int) -> list[np.ndarray]:
+    """The rho rows of each slab of an (n_rho, n_mu, n_mu) grid, in the
+    order the inner pass makes them.
 
-    The caps are made over slabs of rho, each one family_caps call, so that
-    each temporary array of a call holds at most SLAB_BYTES (at least one
-    rho); a grid that fits in one slab, as the default one does, is one
-    call.  family_caps is elementwise, so the slabs' caps are the whole
-    grid's, bit for bit, and the temporaries stay small enough to be reused
-    from the allocator's free memory rather than mapped in afresh.
+    A slab holds as many rows as fit in SLAB_BYTES, at least one.  Slab 0
+    holds every coarse row (_coarse), the grid's last row among them, and
+    the lowest other rows that fit beside them; each slab after it holds
+    the next other rows that fit.  Each slab's rows ascend.  A grid that
+    fits in one slab, as the default one does, is one slab of all its
+    rows; slab 0 outgrows the budget only where the coarse rows alone do.
+    """
+    step = max(1, SLAB_BYTES // (8 * n_mu * n_mu))
+    coarse = _coarse(n_rho)
+    first = np.zeros(n_rho, bool)
+    first[coarse] = True
+    rest = np.flatnonzero(~first)
+    fill = max(0, step - coarse.size)
+    first[rest[:fill]] = True
+    rest = rest[fill:]
+    return [np.flatnonzero(first)] + [rest[s:s + step] for s in range(0, rest.size, step)]
+
+
+def _grid_slabs(p: ChannelParameters, grid: GridSpec):
+    """The parameter grid's 1-D correlation axis, and an iterator over its
+    slabs (rows, caps), in _slab_rows order: caps is family_caps over the
+    rows of rho, of shape (5, rows.size, n_mu, n_mu).
+
+    The inner guard runs at once (parameter_grids); each slab's caps are
+    made when the iterator reaches it, one family_caps call, so that a
+    consumer that drops each slab before taking the next holds one slab at
+    a time.  family_caps is elementwise, so a slab's caps are the whole
+    grid's at its rows, bit for bit.
     """
     rho, mu1, mu2 = parameter_grids(p, grid)
-    step = max(1, SLAB_BYTES // (8 * mu1.size * mu2.size))
-    if rho.size <= step:
-        return rho.ravel(), family_caps(p, rho, mu1, mu2)
-    caps = np.empty((5, rho.size, mu1.size, mu2.size))
-    for s in range(0, rho.size, step):
-        caps[:, s:s + step] = family_caps(p, rho[s:s + step], mu1, mu2)
-    return rho.ravel(), caps
+    return rho.ravel(), ((rows, family_caps(p, rho[rows], mu1, mu2))
+                         for rows in _slab_rows(rho.size, mu1.size))
+
+
+def _grid_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter grid's 1-D correlation axis, and family_caps over the
+    grid: _grid_slabs' slabs put together, so the caps of a grid that fits
+    in one slab are that slab's one family_caps call."""
+    rho, slabs = _grid_slabs(p, grid)
+    rows, caps = next(slabs)
+    if rows.size < rho.size:
+        whole = np.empty((5, rho.size) + caps.shape[2:])
+        whole[:, rows] = caps
+        for rows, caps in slabs:
+            whole[:, rows] = caps
+        caps = whole
+    return rho, caps
 
 
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
     """family_caps over the whole parameter grid, one column per grid tuple."""
-    return grid_caps(p, grid)[1].reshape(5, -1)
+    return _grid_caps(p, grid)[1].reshape(5, -1)
 
 
 def single_user_anchors(p: ChannelParameters) -> np.ndarray:
@@ -306,8 +350,8 @@ def achievable_region(p: ChannelParameters, grid: GridSpec = DEFAULT_GRID) -> Re
     region, so an all-infeasible sweep still yields the strong user's axis
     segment rather than collapsing to the origin.
     """
-    _, caps = grid_caps(p, grid)
-    return region_from_points(inner_cloud(p, caps), grid.frontier_samples)
+    (cloud,) = run_inner_clouds([p], [_grid_slabs(p, grid)[1]])
+    return region_from_points(cloud, grid.frontier_samples)
 
 
 COARSE_STRIDE = 8  # the coarse cloud's sub-grid: every 8th rho and mu index
@@ -321,17 +365,21 @@ def _coarse(n: int) -> np.ndarray:
     return np.unique(np.r_[0:n:COARSE_STRIDE, n - 1])
 
 
-def _coarse_clouds(caps, anchors) -> list[np.ndarray]:
+def _coarse_clouds(firsts, anchors) -> list[np.ndarray]:
     """Each cell's coarse cloud (its coarse sub-grid's vertices, and its
-    anchors) from one batch_vertices call, the cells' caps of one shape; a
-    polytope's vertices depend on its own caps alone, so each cell's are
-    the ones a call for it alone gives, in the same order."""
-    sub = np.ix_(range(5), *map(_coarse, caps[0].shape[1:]))
-    coarse = np.stack([c[sub] for c in caps], axis=1)  # (5, cells) + sub-grid
+    anchors) from one batch_vertices call, firsts each cell's slab 0
+    (rows, caps), all of one shape; a polytope's vertices depend on its own
+    caps alone, so each cell's are the ones a call for it alone gives, in
+    the same order.  Slab 0's rows ascend and end at the grid's last row,
+    so its coarse rows are those of a grid of rows[-1] + 1."""
+    rows, caps = firsts[0]
+    sub = np.ix_(range(5), np.searchsorted(rows, _coarse(rows[-1] + 1)),
+                 *map(_coarse, caps.shape[2:]))
+    coarse = np.stack([c[sub] for _, c in firsts], axis=1)  # (5, cells) + sub-grid
     pts, column = batch_vertices(FAMILY_COEFFS, coarse.reshape(5, -1))
     per_cell = coarse[0, 0].size
     return [np.vstack([v, a])
-            for v, a in zip(group_rows(pts, column // per_cell, len(caps)), anchors)]
+            for v, a in zip(group_rows(pts, column // per_cell, len(firsts)), anchors)]
 
 
 def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -355,23 +403,34 @@ def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(chain[-1, 0]), chain[:, 0], chain[:, 1]
 
 
-def run_inner_clouds(ps, caps) -> list[np.ndarray]:
-    """inner_cloud of each cell of a run, in order: ps the channels and caps
-    their family caps arrays, all of one shape, as grid_caps gives them for
-    the cells of one alpha row of the symmetric surface.
+def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
+    """_inner_cloud of each cell of a run, in order: ps the channels and
+    slabs, for each, an iterator over its slabs (rows, caps), slab 0 first,
+    as _grid_slabs gives them, every cell's slab 0 of one shape, as for the
+    cells of one alpha row of the symmetric surface.
 
-    The coarse clouds of the whole run are one batch_vertices call
-    (_coarse_clouds).  The chain, the prune and the walk are made cell by
-    cell: a prune over the whole run's columns was slower per cell, its
-    arrays too large for the cache.  Each cloud is the one inner_cloud gives
-    for its cell alone.
+    This is the inner pass.  Slab 0 of every cell is taken first, and the
+    coarse clouds of the whole run are one batch_vertices call on their
+    coarse rows (_coarse_clouds).  Then, cell by cell, the chain is made,
+    and each slab in turn, slab 0 first, is pruned and walked and dropped
+    before the next one is taken: a run holds each cell's slab 0 and one
+    more slab.  A prune over the whole run's columns was slower per cell,
+    its arrays too large for the cache.  Each cloud is the one _inner_cloud
+    gives for its cell alone, in walk order slab by slab.
     """
+    slabs = [iter(s) for s in slabs]
+    firsts = [next(s) for s in slabs]
     anchors = [single_user_anchors(p) for p in ps]
     clouds = []
-    for c, a, coarse in zip(caps, anchors, _coarse_clouds(caps, anchors)):
+    for k, (rest, a, coarse) in enumerate(zip(slabs, anchors, _coarse_clouds(firsts, anchors))):
         chain = _fan_chain(coarse)
-        pts, _ = vertices_outside(FAMILY_COEFFS, c.reshape(5, -1), chain)
-        pts = np.vstack([pts[~strictly_inside(pts, chain)], a])
+        parts, slab, firsts[k] = [], firsts[k], None
+        while slab is not None:
+            pts, _ = vertices_outside(FAMILY_COEFFS, slab[1].reshape(5, -1), chain)
+            parts.append(pts[~strictly_inside(pts, chain)])
+            slab = None  # dropped before the next one is made
+            slab = next(rest, None)
+        pts = np.vstack(parts + [a])
         # a strictly dominated point v >= 0 lies in the box between the origin
         # and its dominator, inside the hull of the anchored cloud (the origin
         # and the axis projections of the extremes), so it is no hull vertex and
@@ -382,10 +441,11 @@ def run_inner_clouds(ps, caps) -> list[np.ndarray]:
     return clouds
 
 
-def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
+def _inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     """The points whose hull, with the origin and the axis projections of
     their extremes, is the inner region of the family caps caps, of shape
-    (5, n_rho, n_mu, n_mu): the one-cell run of run_inner_clouds.
+    (5, n_rho, n_mu, n_mu): the one-cell run of run_inner_clouds, with caps
+    its one slab.
 
     The vertices of a coarse sub-grid and the single-user corners lie in
     the region, and so does the chain of their extreme points in a fan of
@@ -398,4 +458,4 @@ def inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
     coordinate below zero still passes the dominance prefilter.  The hull
     is the one the unpruned sweep gives.
     """
-    return run_inner_clouds([p], [caps])[0]
+    return run_inner_clouds([p], [[(np.arange(caps.shape[1]), caps)]])[0]

@@ -61,12 +61,15 @@ class GapSurface:
             raise ValueError("gap matrix shape does not match the grids")
 
 
-def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
-    """The bound and its delta components from the family caps of both sides.
+def _rho_scores(outer: np.ndarray, inner: np.ndarray):
+    """At each rho of the inner caps, the least over the splits of the worst
+    normalized slack, and the five delta components at the first splits
+    that give it.
 
-    inner is achievability.grid_caps' family caps, shape (5, n_rho, n_mu,
-    n_mu), and outer converse.family_caps on the same grid's 1-D
-    correlation axis, shape (5, n_rho).
+    inner is family caps of shape (5, n_rho, n_mu, n_mu), a slab of
+    achievability._grid_slabs or a whole grid, and outer converse.family_caps
+    at the same rho, shape (5, n_rho).  Returns arrays of shape (n_rho,)
+    and (n_rho, 5); each row depends on its own rho alone.
     """
     shape = inner.shape[1:]
     weights = achievability.FAMILY_COEFFS.sum(axis=1)
@@ -78,20 +81,44 @@ def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
         if k:
             np.maximum(score, slack, out=score)
     per_rho_flat = score.reshape(shape[0], -1)
+    rows = np.arange(shape[0])
     best_mu = per_rho_flat.argmin(axis=1)           # best splits at each rho
-    per_rho = per_rho_flat[np.arange(shape[0]), best_mu]
-    i_rho = int(per_rho.argmax())                   # worst rho wins
+    i_mu1, i_mu2 = np.unravel_index(best_mu, shape[1:])
+    return per_rho_flat[rows, best_mu], (outer - inner[:, rows, i_mu1, i_mu2]).T
 
-    i_mu1, i_mu2 = np.unravel_index(best_mu[i_rho], shape[1:])
-    components = tuple(float(outer[k, i_rho] - inner[k, i_rho, i_mu1, i_mu2]) for k in range(5))
-    return float(per_rho[i_rho]), components
+
+def _bound(per_rho: np.ndarray, components: np.ndarray):
+    """The bound and its delta components from _rho_scores over the whole
+    rho axis: the worst rho wins, the first of ties."""
+    i_rho = int(per_rho.argmax())
+    return float(per_rho[i_rho]), tuple(float(c) for c in components[i_rho])
+
+
+def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
+    """The bound and its delta components from the family caps of both
+    sides over a whole grid: inner of shape (5, n_rho, n_mu, n_mu), as
+    achievability._grid_caps gives it, and outer converse.family_caps on the
+    grid's 1-D correlation axis, shape (5, n_rho)."""
+    return _bound(*_rho_scores(outer, inner))
+
+
+def _scored(slabs, outer: np.ndarray, per_rho: np.ndarray, components: np.ndarray):
+    """The slabs (rows, caps) of achievability._grid_slabs, passed on in
+    turn, each scored into per_rho and components at its rows (_rho_scores)
+    against outer, converse.family_caps on the grid's whole rho axis."""
+    for rows, caps in slabs:
+        per_rho[rows], components[rows] = _rho_scores(outer[:, rows], caps)
+        yield rows, caps
+        del caps  # dropped before the next slab is made
 
 
 def analytic_gap_bound(p: ChannelParameters, grid: GridSpec = achievability.DEFAULT_GRID) -> float:
     """Worst-over-correlation, best-over-splits normalized slack bound."""
-    rho, caps = achievability.grid_caps(p, grid)
-    bound, _ = _analytic_bound_details(converse.family_caps(p, rho), caps)
-    return bound
+    rho, slabs = achievability._grid_slabs(p, grid)
+    per_rho, components = np.empty(rho.size), np.empty((rho.size, 5))
+    for _ in _scored(slabs, converse.family_caps(p, rho), per_rho, components):
+        pass
+    return _bound(per_rho, components)[0]
 
 
 def exact_gap(
@@ -105,22 +132,32 @@ def exact_gap(
     channels those keep the gap stable to well under a hundredth of a bit
     under grid refinement, but not on all: doubling the grids moves the gap
     of ChannelParameters(6121.7, 289788.0, 48.454, 11705.7, 0.1455, 3199.56)
-    from 0.6856 to 0.6308 bits, all of it from the mu grid.  Each side's
-    family caps are evaluated once and serve both the region and the
-    analytic bound: the inner caps over the (rho, mu1, mu2) grid, and the
-    converse caps over the converse grid's rho and the inner grid's rho axis
-    together (converse._region_and_caps).
+    from 0.6856 to 0.6308 bits, all of it from the mu grid.
+
+    Each side's family caps are evaluated once and serve both the region
+    and the analytic bound.  The inner guard runs first, then the converse
+    caps over the converse grid's rho and the inner grid's rho axis
+    together (converse._region_and_caps).  Then the inner pass
+    (achievability.run_inner_clouds) takes the inner caps in rho slabs of
+    at most achievability.SLAB_BYTES per (rho, mu1, mu2) array, and each
+    slab is scored for the analytic bound (_rho_scores) as it is pruned and
+    walked, then dropped; the bound's worst rho is taken at the end, over
+    the whole axis.  Every output is the one the whole grid's caps give,
+    bit for bit: the hull depends on its point set alone, and every other
+    step works per polytope or per rho.  The default grid is one slab.
     """
-    rho, caps = achievability.grid_caps(p, grid)
-    inner = region_from_points(achievability.inner_cloud(p, caps), grid.frontier_samples)
+    rho, slabs = achievability._grid_slabs(p, grid)
     outer, outer_caps = converse._region_and_caps(p, converse_grid, rho)
-    result = deflation_gap(inner, outer)
-    bound, components = _analytic_bound_details(outer_caps, caps)
+    per_rho, components = np.empty(rho.size), np.empty((rho.size, 5))
+    (cloud,) = achievability.run_inner_clouds(
+        [p], [_scored(slabs, outer_caps, per_rho, components)])
+    result = deflation_gap(region_from_points(cloud, grid.frontier_samples), outer)
+    bound, deltas = _bound(per_rho, components)
     return GapReport(
         exact_gap=result.gap,
         analytic_bound=bound,
         witness=result.witness,
-        delta_components=components,
+        delta_components=deltas,
     )
 
 
@@ -149,10 +186,11 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
          of the caps and one batch_vertices call, with a
          DegenerateChannelError for each cell refused or with no feasible
          rho;
-      3. the inner family caps of the cells left (achievability.grid_caps)
-         and their inner clouds (achievability.run_inner_clouds): one
-         batch_vertices call for all their coarse clouds, then each cell's
-         chain, prune and walk;
+      3. the inner clouds of the cells left (achievability.run_inner_clouds),
+         their family caps in rho slabs (achievability._grid_slabs): one
+         batch_vertices call for all their coarse clouds, from each cell's
+         slab 0, then each cell's chain, and its prune and walk slab by
+         slab;
       4. one batch of hulls (geometry.regions_from_points), then each cell's
          deflation gap from its converse vertices (geometry.deflate), which
          is deflation_gap's over the converse envelope, with no frontier.
@@ -183,14 +221,16 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     if not live:
         return out
     ps = [p for _, p, _ in live]
-    clouds = achievability.run_inner_clouds(ps, [achievability.grid_caps(p, grid)[1] for p in ps])
+    clouds = achievability.run_inner_clouds(ps, [achievability._grid_slabs(p, grid)[1] for p in ps])
     for (ib, _, outer), inner in zip(live, regions_from_points(clouds, grid.frontier_samples)):
         out[ib] = deflate(inner, *outer).gap
     return out
 
 
-# the inner family caps a run of the sweep may hold, 8 bytes per family and
-# grid point per cell: 5 cells at the default inner grid
+# the inner family caps a run of the sweep may hold: a run holds each cell's
+# slab 0 (achievability.run_inner_clouds), reckoned here at the whole grid's
+# 8 bytes per family and grid point, which slab 0 is at most: 5 cells at the
+# default inner grid, which is one slab
 RUN_BYTES = 2 * 1024 * 1024
 
 _POOL = None  # this process's ProcessPoolExecutor

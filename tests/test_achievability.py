@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,14 +10,19 @@ import formula_oracle as oracle
 from gicnof import (
     ChannelParameters,
     DegenerateChannelError,
+    GapReport,
     GridSpec,
+    SymmetricPoint,
     achievable_region,
+    analytic_gap_bound,
     b_basic,
+    exact_gap,
     polytope_vertices,
     rho_domain_sup,
+    symmetric_params,
 )
 from gicnof import achievability as ach
-from gicnof import geometry
+from gicnof import converse, gap, geometry
 from gicnof.geometry import (
     FEASIBILITY_TOL,
     LinearBound,
@@ -304,11 +311,11 @@ def unpruned_region_from_caps(p, caps, frontier_samples):
 
 
 def assert_matches_unpruned(p, grid, caps=None):
-    """vertices and frontier of the hull of inner_cloud equal the reference
+    """vertices and frontier of the hull of _inner_cloud equal the reference
     bit for bit."""
     if caps is None:
         caps = ach.family_caps(p, *ach.parameter_grids(p, grid))
-    got = region_from_points(ach.inner_cloud(p, caps), grid.frontier_samples)
+    got = region_from_points(ach._inner_cloud(p, caps), grid.frontier_samples)
     want = unpruned_region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
     for name in ("vertices", "frontier_r1", "frontier_r2"):
         a, b = getattr(got, name), getattr(want, name)
@@ -319,26 +326,26 @@ def probe_sweep(p, grid):
     """The region of p at grid, the number of polytopes its sweep walks, and
     the number of points its hull is given.
 
-    The walk runs twice per region, for the coarse chain and then for the
-    polytopes the prune keeps; the second count is the one returned.
+    The walk runs once for the coarse chain, and then once per slab of rho
+    for the polytopes the prune keeps; their sum is the count returned.
     """
     walked, cloud_sizes = [], []
-    emit, inner_cloud = geometry._emit, ach.inner_cloud
+    emit, run_inner_clouds = geometry._emit, ach.run_inner_clouds
 
     def emit_spy(walk, live, h, single):
         walked.append(live.size)
         return emit(walk, live, h, single)
 
-    def inner_cloud_spy(p, caps):
-        out = inner_cloud(p, caps)
-        cloud_sizes.append(len(out))
+    def run_spy(ps, slabs):
+        out = run_inner_clouds(ps, slabs)
+        cloud_sizes.extend(map(len, out))
         return out
 
     with mock.patch.object(geometry, "_emit", emit_spy), \
-            mock.patch.object(ach, "inner_cloud", inner_cloud_spy):
+            mock.patch.object(ach, "run_inner_clouds", run_spy):
         region = achievable_region(p, grid)
-    assert len(walked) == 2 and len(cloud_sizes) == 1
-    return region, walked[1], cloud_sizes[0]
+    assert len(walked) >= 2 and len(cloud_sizes) == 1
+    return region, sum(walked[1:]), cloud_sizes[0]
 
 
 DOUBLED = GridSpec(65, 33, 1024)
@@ -387,7 +394,7 @@ class TestPrunedSweep:
         grid = GridSpec(9, 5)
         caps = ach.family_caps(p_star, *ach.parameter_grids(p_star, grid))
         caps[:, 4, 2, 2] = [-0.5 * FEASIBILITY_TOL, 1.7, 1.7, 1.7, 3.4]
-        region = region_from_points(ach.inner_cloud(p_star, caps), grid.frontier_samples)
+        region = region_from_points(ach._inner_cloud(p_star, caps), grid.frontier_samples)
         assert region.vertices[:, 0].min() == -0.5 * FEASIBILITY_TOL
         assert_matches_unpruned(p_star, grid, caps)
 
@@ -436,33 +443,160 @@ class TestPrunedSweepOnEdgeInputs:
             assert_matches_unpruned(p, grid)
 
 
+def whole_grid_gap(p, grid, converse_grid):
+    """achievable_region and exact_gap's report as the whole grid's caps give
+    them: _grid_caps, _inner_cloud with those caps as its one slab, and
+    _analytic_bound_details.  The report is None where the converse raises."""
+    rho, caps = ach._grid_caps(p, grid)
+    inner = region_from_points(ach._inner_cloud(p, caps), grid.frontier_samples)
+    try:
+        outer, outer_caps = converse._region_and_caps(p, converse_grid, rho)
+    except DegenerateChannelError:
+        return inner, None
+    result = geometry.deflation_gap(inner, outer)
+    bound, components = gap._analytic_bound_details(outer_caps, caps)
+    return inner, GapReport(result.gap, bound, result.witness, components)
+
+
+def report_hex(report):
+    return [float(v).hex() for v in (report.exact_gap, report.analytic_bound,
+                                      *report.witness, *report.delta_components)]
+
+
+COLLAPSED = ChannelParameters(10.0, 20.0, 0.5, 5.0, 3.0, 3.0)  # sub-unity INR: one rho
+
+
+def criterion_8_channels():
+    """Acceptance criterion 8's twenty channels, drawn as that test draws them."""
+    return random_channels(17, seed=20260405) + [
+        ChannelParameters(10.0, 10.0, 5.0, 5.0, 10.0, 10.0),
+        symmetric_params(SymmetricPoint(1e4, 1.05, 1.2)),
+        symmetric_params(SymmetricPoint(1e3, 0.5, 0.8)),
+    ]
+
+
 class TestRun:
-    """The inner caps in slabs of rho, and the inner clouds of a run."""
+    """The inner pass in slabs of rho, and the inner clouds of a run."""
+
+    def test_slab_rows(self):
+        # the default grid is one slab; doubled, slab 0 is the 9 coarse rows
+        # and the 6 lowest others, and 50 rows follow in slabs of 15
+        assert [r.tolist() for r in ach._slab_rows(33, 17)] == [list(range(33))]
+        rows = ach._slab_rows(65, 33)
+        assert [r.size for r in rows] == [15, 15, 15, 15, 5]
+        assert rows[0].tolist() == [0, 1, 2, 3, 4, 5, 6, 8, 16, 24, 32, 40, 48, 56, 64]
+        # the coarse rows alone outgrow a slab of 3 rows at 65 splits
+        rows = ach._slab_rows(33, 65)
+        assert rows[0].tolist() == [0, 8, 16, 24, 32] and {r.size for r in rows[1:]} == {1, 3}
+        for n_rho, n_mu in [(1, 17), (2, 2), (65, 33), (33, 65), (129, 9), (17, 129)]:
+            rows = ach._slab_rows(n_rho, n_mu)
+            assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n_rho))
+            assert all(np.all(np.diff(r) > 0) for r in rows)
+            assert set(ach._coarse(n_rho)) <= set(rows[0])
 
     @pytest.mark.parametrize("grid", [ach.DEFAULT_GRID, DOUBLED, GridSpec(129, 9)])
     def test_slabs_of_rho_give_the_whole_grids_caps(self, grid, monkeypatch):
         calls = []
         family_caps = ach.family_caps
-        for p in random_channels(20, 20260405):
-            whole = family_caps(p, *ach.parameter_grids(p, grid))
-            monkeypatch.setattr(ach, "family_caps",
-                                lambda *args: calls.append(args[1].size) or family_caps(*args))
-            _, caps = ach.grid_caps(p, grid)
+
+        def spy(*args):
+            calls.append(np.ravel(args[1]))
+            return family_caps(*args)
+
+        def made(call):
+            # each slab's (rho, mu1, mu2) temporary within SLAB_BYTES, and each
+            # grid rho made once per call: no second call for the coarse sub-grid
+            monkeypatch.setattr(ach, "family_caps", spy)
+            out = call()
             monkeypatch.undo()
-            assert np.array_equal(caps, whole, equal_nan=True)
-            # each slab's (rho, mu1, mu2) temporary within SLAB_BYTES
-            assert max(calls) * grid.mu_points ** 2 * 8 <= ach.SLAB_BYTES
-            assert sum(calls) == caps.shape[1]
+            assert max(c.size for c in calls) * grid.mu_points ** 2 * 8 <= ach.SLAB_BYTES
+            assert np.array_equal(np.sort(np.concatenate(calls)), rho.ravel())
             calls.clear()
+            return out
+
+        for p in random_channels(20, 20260405):
+            rho, mu1, mu2 = ach.parameter_grids(p, grid)
+            whole = family_caps(p, rho, mu1, mu2)
+            assert np.array_equal(made(lambda: ach._grid_caps(p, grid)[1]), whole, equal_nan=True)
+            made(lambda: exact_gap(p, grid))
+
+    def test_default_grid_is_one_slab(self):
+        # exact_gap at the default grids: one family_caps call, one coarse
+        # batch_vertices call and one vertices_outside call, as with no slabs
+        for p in random_channels(5, 20260405):
+            with mock.patch.object(ach, "family_caps", wraps=ach.family_caps) as caps, \
+                    mock.patch.object(ach, "batch_vertices", wraps=ach.batch_vertices) as walk, \
+                    mock.patch.object(ach, "vertices_outside", wraps=ach.vertices_outside) as prune:
+                exact_gap(p)
+            assert (caps.call_count, walk.call_count, prune.call_count) == (1, 1, 1)
+
+    @pytest.mark.parametrize("grid, converse_grid", [
+        (ach.DEFAULT_GRID, converse.DEFAULT_GRID),  # one slab
+        (DOUBLED, GridSpec(129, 33, 1024)),          # five slabs, criterion 8's grids
+        (GridSpec(129, 9), converse.DEFAULT_GRID),
+        (GridSpec(2, 2), converse.DEFAULT_GRID),
+    ])
+    def test_slab_pass_is_the_whole_grid_pass(self, grid, converse_grid):
+        for p in random_channels(20, 20260405) + EDGE_CHANNELS + [COLLAPSED]:
+            self.assert_whole_grid_pass(p, grid, converse_grid)
+
+    def test_slab_pass_where_the_coarse_rows_outgrow_a_slab(self):
+        # at 65 splits a slab holds 3 rows, and slab 0 the 5 coarse ones
+        for p in random_channels(4, 20260405) + [COLLAPSED]:
+            self.assert_whole_grid_pass(p, GridSpec(33, 65), converse.DEFAULT_GRID)
+
+    @staticmethod
+    def assert_whole_grid_pass(p, grid, converse_grid):
+        """achievable_region, exact_gap and analytic_gap_bound equal the whole
+        grid pass bit for bit, or exact_gap raises as the converse does."""
+        inner, want = whole_grid_gap(p, grid, converse_grid)
+        got = achievable_region(p, grid)
+        for name in ("vertices", "frontier_r1", "frontier_r2"):
+            a, b = getattr(got, name), getattr(inner, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, p)
+        rho, caps = ach._grid_caps(p, grid)
+        bound, _ = gap._analytic_bound_details(converse.family_caps(p, rho), caps)
+        assert float(analytic_gap_bound(p, grid)).hex() == float(bound).hex(), p
+        if want is None:
+            with pytest.raises(DegenerateChannelError) as want_exc:
+                converse._region_and_caps(p, converse_grid, rho)
+            with pytest.raises(DegenerateChannelError, match=re.escape(str(want_exc.value))):
+                exact_gap(p, grid, converse_grid)
+        else:
+            assert report_hex(exact_gap(p, grid, converse_grid)) == report_hex(want), p
+
+    def test_one_doubled_gap_call_holds_a_few_slabs(self):
+        # the traced peak of one exact_gap call at criterion 8's doubled grids:
+        # 2.3 to 3.0 MiB in slabs, most of it the converse frontier (129 rho
+        # by 1,024 samples); the whole-grid pass held the (5, 65, 33, 33)
+        # caps and the prune's full-width copies, up to 9.5 MiB
+        grid, converse_grid = DOUBLED, GridSpec(129, 33, 1024)
+        channels = criterion_8_channels()
+        exact_gap(channels[0], grid, converse_grid)  # the walk tables, made once
+        peaks = []
+        for p in channels:
+            tracemalloc.start()
+            try:
+                exact_gap(p, grid, converse_grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20, [round(b / 2 ** 20, 2) for b in peaks]
 
     def test_a_run_has_each_cells_inner_cloud(self):
         rng = np.random.default_rng(23)
-        for p in random_channels(20, 20260401) + EDGE_CHANNELS:
+        channels = random_channels(20, 20260401) + EDGE_CHANNELS
+        cases = [(p, ach.DEFAULT_GRID) for p in channels] + [(p, DOUBLED) for p in channels[::8]]
+        for p, grid in cases:
             ps = [dataclasses.replace(p, snr_bwd_1=a, snr_bwd_2=b)
                   for a, b in 10.0 ** rng.uniform(-1.0, 6.0, size=(4, 2))]
-            caps = [ach.grid_caps(q, ach.DEFAULT_GRID)[1] for q in ps]
-            for q, c, cloud in zip(ps, caps, ach.run_inner_clouds(ps, caps)):
-                assert cloud.tobytes() == ach.inner_cloud(q, c).tobytes()
+            slabs = [ach._grid_slabs(q, grid)[1] for q in ps]
+            for q, cloud in zip(ps, ach.run_inner_clouds(ps, slabs)):
+                (alone,) = ach.run_inner_clouds([q], [ach._grid_slabs(q, grid)[1]])
+                assert cloud.tobytes() == alone.tobytes()
+                if grid == ach.DEFAULT_GRID:  # one slab: the whole grid's cloud
+                    whole = ach._inner_cloud(q, ach._grid_caps(q, grid)[1])
+                    assert cloud.tobytes() == whole.tobytes()
 
 
 class TestFanChain:
@@ -475,7 +609,8 @@ class TestFanChain:
                                   64.5478711466986, 18557.453726792202, 35.30259433233043)
         for p in [p_star] + random_channels(30, 20260407) + [twins]:
             caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
-            (cloud,) = ach._coarse_clouds([caps], [ach.single_user_anchors(p)])
+            (cloud,) = ach._coarse_clouds([(np.arange(caps.shape[1]), caps)],
+                                          [ach.single_user_anchors(p)])
             r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)
             assert 2 <= knot_r1.size <= 2 * ach.FAN_DIRECTIONS - 1
             assert np.all(np.diff(knot_r1) > 0.0) and np.all(np.diff(knot_r2) < 0.0)

@@ -429,7 +429,7 @@ class TestVerticesOutside:
         cases += [(p, GridSpec(65, 33, 1024)) for p in random_channels(20, 20260405)]
         for p, grid in cases:
             grid_caps = achievability.family_caps(p, *achievability.parameter_grids(p, grid))
-            (coarse,) = achievability._coarse_clouds([grid_caps],
+            (coarse,) = achievability._coarse_clouds([(np.arange(grid_caps.shape[1]), grid_caps)],
                                                      [achievability.single_user_anchors(p)])
             chain = achievability._fan_chain(coarse)
             caps = grid_caps.reshape(5, -1)
@@ -588,7 +588,8 @@ class TestConvexHull:
         caps = achievability.family_caps(p, *achievability.parameter_grids(
             p, achievability.DEFAULT_GRID))
         anchors = achievability.single_user_anchors(p)
-        chain = achievability._fan_chain(achievability._coarse_clouds([caps], [anchors])[0])
+        chain = achievability._fan_chain(achievability._coarse_clouds(
+            [(np.arange(caps.shape[1]), caps)], [anchors])[0])
         walked, _ = vertices_outside(achievability.FAMILY_COEFFS, caps.reshape(5, -1), chain)
         clouds = [TWIN_CLOUD, rng.normal(size=(300, 2)),
                   np.round(rng.uniform(size=(300, 2)), 2),  # many exact ties
@@ -696,7 +697,7 @@ class TestBatchedHull:
         for p in random_channels(20, 20260401):
             caps = achievability.family_caps(p, *achievability.parameter_grids(
                 p, achievability.DEFAULT_GRID))
-            clouds.append(geometry._anchored(achievability.inner_cloud(p, caps)))
+            clouds.append(geometry._anchored(achievability._inner_cloud(p, caps)))
         for pts, got in zip(clouds, geometry._convex_hulls(clouds)):
             assert got.tobytes() == recursive_convex_hull(pts).tobytes()
 

@@ -184,7 +184,7 @@ def test_more_feedback_never_shrinks_a_region(db, name, more_db):
     rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
     less, more = converse.family_caps(p, rho), converse.family_caps(q, rho)
     assert np.all(more >= less)  # a -inf cap may become finite, never the reverse
-    less, more = (achievability.grid_caps(x, achievability.DEFAULT_GRID)[1] for x in (p, q))
+    less, more = (achievability._grid_caps(x, achievability.DEFAULT_GRID)[1] for x in (p, q))
     assert np.all(more >= less - 1e-12 * np.abs(less))
     inner = achievability.achievable_region(p)
     assert_inside(achievability.achievable_region(q),
@@ -219,8 +219,8 @@ def test_swapping_the_users_permutes_both_caps_arrays(db):
     assert_same_caps(converse.family_caps(swap_users(p), rho),
                      converse.family_caps(p, rho)[SWAPPED_FAMILIES])
     # (family, rho, mu1, mu2): the two users' power splits change places too
-    inner = achievability.grid_caps(p, achievability.DEFAULT_GRID)[1]
-    assert_same_caps(achievability.grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
+    inner = achievability._grid_caps(p, achievability.DEFAULT_GRID)[1]
+    assert_same_caps(achievability._grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
                      inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
 
 
@@ -268,7 +268,7 @@ def test_one_converse_evaluation_serves_the_envelope_and_the_analytic_bound(db):
     # analytic bound and its components are those evaluated on their own
     p = ChannelParameters(*10.0 ** (db / 10.0))
     a = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
-    b, inner = achievability.grid_caps(p, achievability.DEFAULT_GRID)
+    b, inner = achievability._grid_caps(p, achievability.DEFAULT_GRID)
     both = converse.family_caps(p, np.r_[a, b])
     assert np.array_equal(both[:, :a.size], converse.family_caps(p, a), equal_nan=True)
     assert np.array_equal(both[:, a.size:], converse.family_caps(p, b), equal_nan=True)
