@@ -45,8 +45,7 @@ the unpruned sweep gives.
 The walked vertices strictly inside the chain, most of them, are dropped
 before the hull (geometry.strictly_inside), by the same argument.  The
 symmetric sweep builds the clouds of a run of cells together
-(run_inner_clouds), with one vertex batch for all their coarse clouds;
-_inner_cloud is the one-cell run.
+(run_inner_clouds), with one vertex batch for all their coarse clouds.
 
 The inner pass holds no array over the whole grid.  It takes the grid's
 rho rows in slabs (_slab_rows), each one family_caps call whose
@@ -254,7 +253,7 @@ def _least_of_each(families, shape: tuple) -> np.ndarray:
     return caps
 
 
-def parameter_grids(p: ChannelParameters, grid: GridSpec):
+def _parameter_grids(p: ChannelParameters, grid: GridSpec):
     """The (rho, mu1, mu2) sweep axes for a channel, shaped for broadcasting."""
     sup = rho_domain_sup(p)
     if sup > 0.0 and grid.rho_points < 2:
@@ -296,35 +295,20 @@ def _grid_slabs(p: ChannelParameters, grid: GridSpec):
     slabs (rows, caps), in _slab_rows order: caps is family_caps over the
     rows of rho, of shape (5, rows.size, n_mu, n_mu).
 
-    The inner guard runs at once (parameter_grids); each slab's caps are
+    The inner guard runs at once (_parameter_grids); each slab's caps are
     made when the iterator reaches it, one family_caps call, so that a
     consumer that drops each slab before taking the next holds one slab at
     a time.  family_caps is elementwise, so a slab's caps are the whole
     grid's at its rows, bit for bit.
     """
-    rho, mu1, mu2 = parameter_grids(p, grid)
+    rho, mu1, mu2 = _parameter_grids(p, grid)
     return rho.ravel(), ((rows, family_caps(p, rho[rows], mu1, mu2))
                          for rows in _slab_rows(rho.size, mu1.size))
 
 
-def _grid_caps(p: ChannelParameters, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The parameter grid's 1-D correlation axis, and family_caps over the
-    grid: _grid_slabs' slabs put together, so the caps of a grid that fits
-    in one slab are that slab's one family_caps call."""
-    rho, slabs = _grid_slabs(p, grid)
-    rows, caps = next(slabs)
-    if rows.size < rho.size:
-        whole = np.empty((5, rho.size) + caps.shape[2:])
-        whole[:, rows] = caps
-        for rows, caps in slabs:
-            whole[:, rows] = caps
-        caps = whole
-    return rho, caps
-
-
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
     """family_caps over the whole parameter grid, one column per grid tuple."""
-    return _grid_caps(p, grid)[1].reshape(5, -1)
+    return family_caps(p, *_parameter_grids(p, grid)).reshape(5, -1)
 
 
 def single_user_anchors(p: ChannelParameters) -> np.ndarray:
@@ -404,10 +388,11 @@ def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
-    """_inner_cloud of each cell of a run, in order: ps the channels and
-    slabs, for each, an iterator over its slabs (rows, caps), slab 0 first,
-    as _grid_slabs gives them, every cell's slab 0 of one shape, as for the
-    cells of one alpha row of the symmetric surface.
+    """The points whose hull, with the origin and the axis projections of
+    their extremes, is the inner region of each cell of a run, in order: ps
+    the channels and slabs, for each, an iterator over its slabs (rows,
+    caps), slab 0 first, as _grid_slabs gives them, every cell's slab 0 of
+    one shape, as for the cells of one alpha row of the symmetric surface.
 
     This is the inner pass.  Slab 0 of every cell is taken first, and the
     coarse clouds of the whole run are one batch_vertices call on their
@@ -415,8 +400,8 @@ def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
     and each slab in turn, slab 0 first, is pruned and walked and dropped
     before the next one is taken: a run holds each cell's slab 0 and one
     more slab.  A prune over the whole run's columns was slower per cell,
-    its arrays too large for the cache.  Each cloud is the one _inner_cloud
-    gives for its cell alone, in walk order slab by slab.
+    its arrays too large for the cache.  Each cloud is the one a run of its
+    cell alone gives, in walk order slab by slab.
     """
     slabs = [iter(s) for s in slabs]
     firsts = [next(s) for s in slabs]
@@ -439,23 +424,3 @@ def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
         # prefilter drops it as the unpruned sweep does
         clouds.append(discard_strictly_dominated(pts) if np.any(pts < 0.0) else pts)
     return clouds
-
-
-def _inner_cloud(p: ChannelParameters, caps: np.ndarray) -> np.ndarray:
-    """The points whose hull, with the origin and the axis projections of
-    their extremes, is the inner region of the family caps caps, of shape
-    (5, n_rho, n_mu, n_mu): the one-cell run of run_inner_clouds, with caps
-    its one slab.
-
-    The vertices of a coarse sub-grid and the single-user corners lie in
-    the region, and so does the chain of their extreme points in a fan of
-    directions (_fan_chain).  The one test of geometry.vertices_outside
-    leaves out polytopes strictly inside that chain, which can hold no hull
-    vertex, and only the others are walked.  Their vertices, less those
-    strictly inside the chain (geometry.strictly_inside: most of them), and
-    the corners are the cloud, in walk order, since a hull depends on the
-    set of its points alone (geometry._convex_hulls); only a cloud with a
-    coordinate below zero still passes the dominance prefilter.  The hull
-    is the one the unpruned sweep gives.
-    """
-    return run_inner_clouds([p], [[(np.arange(caps.shape[1]), caps)]])[0]

@@ -94,14 +94,6 @@ def _bound(per_rho: np.ndarray, components: np.ndarray):
     return float(per_rho[i_rho]), tuple(float(c) for c in components[i_rho])
 
 
-def _analytic_bound_details(outer: np.ndarray, inner: np.ndarray):
-    """The bound and its delta components from the family caps of both
-    sides over a whole grid: inner of shape (5, n_rho, n_mu, n_mu), as
-    achievability._grid_caps gives it, and outer converse.family_caps on the
-    grid's 1-D correlation axis, shape (5, n_rho)."""
-    return _bound(*_rho_scores(outer, inner))
-
-
 def _scored(slabs, outer: np.ndarray, per_rho: np.ndarray, components: np.ndarray):
     """The slabs (rows, caps) of achievability._grid_slabs, passed on in
     turn, each scored into per_rho and components at its rows (_rho_scores)
@@ -178,7 +170,7 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     The cells of a run share their forward SNRs and INRs, and so their
     event pair and their rho grids; beta moves only the feedback SNR.  So
     each stage is made once for the run, not once per cell:
-      1. each cell's inner guard (achievability.parameter_grids), which
+      1. each cell's inner guard (achievability._grid_slabs), which
          raises for a zero INR or an overflowing power product;
       2. the converse vertices of the cells left
          (converse.run_converse_vertices): each cell's converse guard, which
@@ -187,10 +179,9 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
          DegenerateChannelError for each cell refused or with no feasible
          rho;
       3. the inner clouds of the cells left (achievability.run_inner_clouds),
-         their family caps in rho slabs (achievability._grid_slabs): one
-         batch_vertices call for all their coarse clouds, from each cell's
-         slab 0, then each cell's chain, and its prune and walk slab by
-         slab;
+         from the slabs of step 1: one batch_vertices call for all their
+         coarse clouds, from each cell's slab 0, then each cell's chain, and
+         its prune and walk slab by slab;
       4. one batch of hulls (geometry.regions_from_points), then each cell's
          deflation gap from its converse vertices (geometry.deflate), which
          is deflation_gap's over the converse envelope, with no frontier.
@@ -200,29 +191,27 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
     deflation_gap(*regions(p, grid, converse_grid)).gap bit for bit.  Any
     other exception propagates.
     """
-    out, cells, ps = [None] * len(betas), [], []
+    out, cells = [None] * len(betas), []
     for ib, beta in enumerate(betas):
         p = symmetric_params(SymmetricPoint(snr=snr, alpha=float(alpha), beta=float(beta)))
         try:
-            achievability.parameter_grids(p, grid)
+            cells.append((ib, p, achievability._grid_slabs(p, grid)[1]))
         except DegenerateChannelError as exc:
             out[ib] = str(exc)
-            continue
-        cells.append(ib)
-        ps.append(p)
     if not cells:
         return out
     live = []
-    for ib, p, outer in zip(cells, ps, converse.run_converse_vertices(ps, converse_grid)):
+    for (ib, p, slabs), outer in zip(cells, converse.run_converse_vertices(
+            [p for _, p, _ in cells], converse_grid)):
         if isinstance(outer, DegenerateChannelError):
             out[ib] = str(outer)
         else:
-            live.append((ib, p, outer))
+            live.append((ib, p, slabs, outer))
     if not live:
         return out
-    ps = [p for _, p, _ in live]
-    clouds = achievability.run_inner_clouds(ps, [achievability._grid_slabs(p, grid)[1] for p in ps])
-    for (ib, _, outer), inner in zip(live, regions_from_points(clouds, grid.frontier_samples)):
+    clouds = achievability.run_inner_clouds([p for _, p, _, _ in live],
+                                            [slabs for _, _, slabs, _ in live])
+    for (ib, _, _, outer), inner in zip(live, regions_from_points(clouds, grid.frontier_samples)):
         out[ib] = deflate(inner, *outer).gap
     return out
 
@@ -305,8 +294,7 @@ def sweep_symmetric(
     The cells are cut into runs in row-major order (_sweep_chunk): even
     parts of each alpha row, as few as give every CPU a run and keep each
     run's inner family caps within RUN_BYTES (5 cells at the default inner
-    grid; a run of more cells is no faster per cell, and holds more
-    memory).  The cells of a run share their forward ratios, so each stage
+    grid; a run of more cells holds more memory).  The cells of a run share their forward ratios, so each stage
     of the gap whose cost is mostly fixed per call is made once per run:
     the converse caps and vertices, the coarse clouds and the hulls.  The
     runs go to a persistent pool of one forked worker process per CPU of

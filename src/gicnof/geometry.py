@@ -322,12 +322,11 @@ def _convex_hulls(clouds: Iterable) -> list[np.ndarray]:
         x, y, np.r_[first, last], np.r_[last, first],
         np.tile([e for *_, e in seeds], 2), np.arange(2 * n),
         np.arange(x.size), np.repeat(np.arange(n), sizes))
-    order = np.argsort(owner, kind="stable")
-    found, bounds = found[order], np.searchsorted(owner[order], np.arange(2 * n + 1))
+    chains = group_rows(found, owner, 2 * n)
 
     for j, (k, f, v, eps) in enumerate(seeds):
         pts = clouds[k]
-        lower, upper = (found[bounds[i]:bounds[i + 1]] for i in (j, n + j))
+        lower, upper = chains[j], chains[n + j]
         lower = _lex_order(np.column_stack([x[lower], y[lower]]))
         upper = _lex_order(np.column_stack([x[upper], y[upper]]))[::-1]
         hull = _drop_collinear(np.vstack([pts[[f]], lower, pts[[v]], upper]), eps)
@@ -535,8 +534,7 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
 
 def group_rows(values: np.ndarray, group: np.ndarray, n: int) -> list[np.ndarray]:
     """The rows of values split into n arrays by group, one index in 0..n-1
-    per row: array g holds the rows of group g in their order in values.
-    It splits a run's batch_vertices output by the channel of each polytope."""
+    per row: array g holds the rows of group g in their order in values."""
     order = np.argsort(group, kind="stable")
     return np.split(values[order], np.cumsum(np.bincount(group, minlength=n))[:-1])
 

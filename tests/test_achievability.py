@@ -32,7 +32,8 @@ from gicnof.geometry import (
     pareto_vertices,
     region_from_points,
 )
-from conftest import FAMILIES, as_oracle, channels_with_unit_inr, random_channels
+from conftest import (FAMILIES, as_oracle, channels_with_unit_inr, one_slab_cloud, random_channels,
+                      report_hex, whole_grid_bound, whole_grid_caps)
 
 
 def oracle_polytope(ch, rho, mu1, mu2):
@@ -155,7 +156,7 @@ class TestCoefficients:
     def test_family_caps_evaluates_each_shared_term_once(self, p_star):
         # b1_i(rho) and b2_i from one b_basic call per user, b1_i(1) from one
         # more, and the inner guard once, for all seventeen bounds
-        rho, mu1, mu2 = ach.parameter_grids(p_star, ach.DEFAULT_GRID)
+        rho, mu1, mu2 = ach._parameter_grids(p_star, ach.DEFAULT_GRID)
         with mock.patch.object(ach, "b_basic", wraps=ach.b_basic) as b_basic, \
                 mock.patch.object(ach, "_require_defined", wraps=ach._require_defined) as guard:
             ach.family_caps(p_star, rho, mu1, mu2)
@@ -212,7 +213,7 @@ class TestAchievablePolytope:
 
     def test_family_caps_broadcast_matches_pointwise(self, p_star):
         grid = GridSpec(rho_points=3, mu_points=4)
-        rho, mu1, mu2 = ach.parameter_grids(p_star, grid)
+        rho, mu1, mu2 = ach._parameter_grids(p_star, grid)
         caps = ach.family_caps(p_star, rho, mu1, mu2)
         assert caps.shape == (5, 3, 4, 4)
         for ir, i1, i2 in np.ndindex(3, 4, 4):
@@ -285,7 +286,7 @@ class TestAchievableRegion:
         # the vectorized sweep agrees with the generic single-polytope path
         # run on the oracle's seventeen bounds
         grid = GridSpec(rho_points=3, mu_points=3)
-        rho, mu1, mu2 = ach.parameter_grids(p_star, grid)
+        rho, mu1, mu2 = ach._parameter_grids(p_star, grid)
         caps = ach.sweep_family_caps(p_star, grid)
         pts, idx = batch_vertices(ach.FAMILY_COEFFS, caps)
         k = 0
@@ -311,11 +312,11 @@ def unpruned_region_from_caps(p, caps, frontier_samples):
 
 
 def assert_matches_unpruned(p, grid, caps=None):
-    """vertices and frontier of the hull of _inner_cloud equal the reference
-    bit for bit."""
+    """vertices and frontier of the hull of the one-slab cloud equal the
+    reference bit for bit."""
     if caps is None:
-        caps = ach.family_caps(p, *ach.parameter_grids(p, grid))
-    got = region_from_points(ach._inner_cloud(p, caps), grid.frontier_samples)
+        caps = whole_grid_caps(p, grid)[1]
+    got = region_from_points(one_slab_cloud(p, caps), grid.frontier_samples)
     want = unpruned_region_from_caps(p, caps.reshape(5, -1), grid.frontier_samples)
     for name in ("vertices", "frontier_r1", "frontier_r2"):
         a, b = getattr(got, name), getattr(want, name)
@@ -392,9 +393,9 @@ class TestPrunedSweep:
         # that vertex is a hull vertex; all its corners lie more than the
         # margin inside the region, so only the sign test keeps it
         grid = GridSpec(9, 5)
-        caps = ach.family_caps(p_star, *ach.parameter_grids(p_star, grid))
+        caps = whole_grid_caps(p_star, grid)[1]
         caps[:, 4, 2, 2] = [-0.5 * FEASIBILITY_TOL, 1.7, 1.7, 1.7, 3.4]
-        region = region_from_points(ach._inner_cloud(p_star, caps), grid.frontier_samples)
+        region = region_from_points(one_slab_cloud(p_star, caps), grid.frontier_samples)
         assert region.vertices[:, 0].min() == -0.5 * FEASIBILITY_TOL
         assert_matches_unpruned(p_star, grid, caps)
 
@@ -445,22 +446,17 @@ class TestPrunedSweepOnEdgeInputs:
 
 def whole_grid_gap(p, grid, converse_grid):
     """achievable_region and exact_gap's report as the whole grid's caps give
-    them: _grid_caps, _inner_cloud with those caps as its one slab, and
-    _analytic_bound_details.  The report is None where the converse raises."""
-    rho, caps = ach._grid_caps(p, grid)
-    inner = region_from_points(ach._inner_cloud(p, caps), grid.frontier_samples)
+    them: whole_grid_caps, the cloud of those caps as one slab, and
+    whole_grid_bound.  The report is None where the converse raises."""
+    rho, caps = whole_grid_caps(p, grid)
+    inner = region_from_points(one_slab_cloud(p, caps), grid.frontier_samples)
     try:
         outer, outer_caps = converse._region_and_caps(p, converse_grid, rho)
     except DegenerateChannelError:
         return inner, None
     result = geometry.deflation_gap(inner, outer)
-    bound, components = gap._analytic_bound_details(outer_caps, caps)
+    bound, components = whole_grid_bound(outer_caps, caps)
     return inner, GapReport(result.gap, bound, result.witness, components)
-
-
-def report_hex(report):
-    return [float(v).hex() for v in (report.exact_gap, report.analytic_bound,
-                                      *report.witness, *report.delta_components)]
 
 
 COLLAPSED = ChannelParameters(10.0, 20.0, 0.5, 5.0, 3.0, 3.0)  # sub-unity INR: one rho
@@ -510,14 +506,16 @@ class TestRun:
             out = call()
             monkeypatch.undo()
             assert max(c.size for c in calls) * grid.mu_points ** 2 * 8 <= ach.SLAB_BYTES
-            assert np.array_equal(np.sort(np.concatenate(calls)), rho.ravel())
+            assert np.array_equal(np.sort(np.concatenate(calls)), rho)
             calls.clear()
             return out
 
         for p in random_channels(20, 20260405):
-            rho, mu1, mu2 = ach.parameter_grids(p, grid)
-            whole = family_caps(p, rho, mu1, mu2)
-            assert np.array_equal(made(lambda: ach._grid_caps(p, grid)[1]), whole, equal_nan=True)
+            rho, whole = whole_grid_caps(p, grid)
+            for rows, caps in made(lambda: list(ach._grid_slabs(p, grid)[1])):
+                assert np.array_equal(caps, whole[:, rows], equal_nan=True)
+            assert np.array_equal(ach.sweep_family_caps(p, grid), whole.reshape(5, -1),
+                                  equal_nan=True)
             made(lambda: exact_gap(p, grid))
 
     def test_default_grid_is_one_slab(self):
@@ -554,8 +552,8 @@ class TestRun:
         for name in ("vertices", "frontier_r1", "frontier_r2"):
             a, b = getattr(got, name), getattr(inner, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, p)
-        rho, caps = ach._grid_caps(p, grid)
-        bound, _ = gap._analytic_bound_details(converse.family_caps(p, rho), caps)
+        rho, caps = whole_grid_caps(p, grid)
+        bound, _ = whole_grid_bound(converse.family_caps(p, rho), caps)
         assert float(analytic_gap_bound(p, grid)).hex() == float(bound).hex(), p
         if want is None:
             with pytest.raises(DegenerateChannelError) as want_exc:
@@ -595,7 +593,7 @@ class TestRun:
                 (alone,) = ach.run_inner_clouds([q], [ach._grid_slabs(q, grid)[1]])
                 assert cloud.tobytes() == alone.tobytes()
                 if grid == ach.DEFAULT_GRID:  # one slab: the whole grid's cloud
-                    whole = ach._inner_cloud(q, ach._grid_caps(q, grid)[1])
+                    whole = one_slab_cloud(q, whole_grid_caps(q, grid)[1])
                     assert cloud.tobytes() == whole.tobytes()
 
 
@@ -608,7 +606,7 @@ class TestFanChain:
         twins = ChannelParameters(18.386160475109637, 6.177495334424844, 711828.8433716872,
                                   64.5478711466986, 18557.453726792202, 35.30259433233043)
         for p in [p_star] + random_channels(30, 20260407) + [twins]:
-            caps = ach.family_caps(p, *ach.parameter_grids(p, ach.DEFAULT_GRID))
+            caps = whole_grid_caps(p, ach.DEFAULT_GRID)[1]
             (cloud,) = ach._coarse_clouds([(np.arange(caps.shape[1]), caps)],
                                           [ach.single_user_anchors(p)])
             r1_max, knot_r1, knot_r2 = ach._fan_chain(cloud)

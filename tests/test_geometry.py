@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_channels
+from conftest import one_slab_cloud, random_channels, whole_grid_caps
 from gicnof import achievability, geometry
 from gicnof.gap import regions
 from gicnof.geometry import (
@@ -428,7 +428,7 @@ class TestVerticesOutside:
         cases = [(p, achievability.DEFAULT_GRID) for p in random_channels(200, 20260401)]
         cases += [(p, GridSpec(65, 33, 1024)) for p in random_channels(20, 20260405)]
         for p, grid in cases:
-            grid_caps = achievability.family_caps(p, *achievability.parameter_grids(p, grid))
+            grid_caps = whole_grid_caps(p, grid)[1]
             (coarse,) = achievability._coarse_clouds([(np.arange(grid_caps.shape[1]), grid_caps)],
                                                      [achievability.single_user_anchors(p)])
             chain = achievability._fan_chain(coarse)
@@ -585,8 +585,7 @@ class TestConvexHull:
         # the inner sweep's pruned cloud of this channel, in walk order, holds
         # two ulp twins of a vertex tied exactly in distance beyond an edge
         p = random_channels(200, 20260401)[117]
-        caps = achievability.family_caps(p, *achievability.parameter_grids(
-            p, achievability.DEFAULT_GRID))
+        caps = whole_grid_caps(p, achievability.DEFAULT_GRID)[1]
         anchors = achievability.single_user_anchors(p)
         chain = achievability._fan_chain(achievability._coarse_clouds(
             [(np.arange(caps.shape[1]), caps)], [anchors])[0])
@@ -695,9 +694,8 @@ class TestBatchedHull:
     def test_matches_the_reference_on_inner_sweep_clouds(self):
         clouds = []
         for p in random_channels(20, 20260401):
-            caps = achievability.family_caps(p, *achievability.parameter_grids(
-                p, achievability.DEFAULT_GRID))
-            clouds.append(geometry._anchored(achievability._inner_cloud(p, caps)))
+            caps = whole_grid_caps(p, achievability.DEFAULT_GRID)[1]
+            clouds.append(geometry._anchored(one_slab_cloud(p, caps)))
         for pts, got in zip(clouds, geometry._convex_hulls(clouds)):
             assert got.tobytes() == recursive_convex_hull(pts).tobytes()
 

@@ -11,7 +11,7 @@ import pytest
 import formula_oracle as oracle
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, event, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from gicnof import (  # noqa: E402
@@ -34,7 +34,8 @@ from gicnof.geometry import (  # noqa: E402
     strictly_inside,
     vertices_outside,
 )
-from conftest import FAMILIES, as_oracle, swap_users  # noqa: E402
+from conftest import (  # noqa: E402
+    FAMILIES, as_oracle, report_hex, swap_users, whole_grid_bound, whole_grid_caps)
 
 COEFFS = achievability.FAMILY_COEFFS
 
@@ -184,7 +185,7 @@ def test_more_feedback_never_shrinks_a_region(db, name, more_db):
     rho = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
     less, more = converse.family_caps(p, rho), converse.family_caps(q, rho)
     assert np.all(more >= less)  # a -inf cap may become finite, never the reverse
-    less, more = (achievability._grid_caps(x, achievability.DEFAULT_GRID)[1] for x in (p, q))
+    less, more = (whole_grid_caps(x, achievability.DEFAULT_GRID)[1] for x in (p, q))
     assert np.all(more >= less - 1e-12 * np.abs(less))
     inner = achievability.achievable_region(p)
     assert_inside(achievability.achievable_region(q),
@@ -219,8 +220,8 @@ def test_swapping_the_users_permutes_both_caps_arrays(db):
     assert_same_caps(converse.family_caps(swap_users(p), rho),
                      converse.family_caps(p, rho)[SWAPPED_FAMILIES])
     # (family, rho, mu1, mu2): the two users' power splits change places too
-    inner = achievability._grid_caps(p, achievability.DEFAULT_GRID)[1]
-    assert_same_caps(achievability._grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
+    inner = whole_grid_caps(p, achievability.DEFAULT_GRID)[1]
+    assert_same_caps(whole_grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
                      inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
 
 
@@ -268,7 +269,7 @@ def test_one_converse_evaluation_serves_the_envelope_and_the_analytic_bound(db):
     # analytic bound and its components are those evaluated on their own
     p = ChannelParameters(*10.0 ** (db / 10.0))
     a = np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points)
-    b, inner = achievability._grid_caps(p, achievability.DEFAULT_GRID)
+    b, inner = whole_grid_caps(p, achievability.DEFAULT_GRID)
     both = converse.family_caps(p, np.r_[a, b])
     assert np.array_equal(both[:, :a.size], converse.family_caps(p, a), equal_nan=True)
     assert np.array_equal(both[:, a.size:], converse.family_caps(p, b), equal_nan=True)
@@ -277,5 +278,38 @@ def test_one_converse_evaluation_serves_the_envelope_and_the_analytic_bound(db):
     except DegenerateChannelError:
         return
     assert report.analytic_bound == gap.analytic_gap_bound(p)
-    _, components = gap._analytic_bound_details(converse.family_caps(p, b), inner)
+    _, components = whole_grid_bound(converse.family_caps(p, b), inner)
     assert report.delta_components == components
+
+
+@settings(PROPERTY, max_examples=200)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)),
+       arrays(float, 2, elements=st.floats(0.0, 1.0)))
+def test_both_regions_are_downward_closed(db, t):
+    # each point of a region's own boundary scaled by t: the inner hull's
+    # vertices at the default grid and the converse's frontier samples
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    inner = achievability.achievable_region(p)
+    assert_inside(inner, inner.vertices * t)
+    try:
+        outer = converse.converse_region(p)
+    except DegenerateChannelError:
+        event("skipped: the converse raises")
+        assume(False)
+    assert_inside(outer, np.column_stack([outer.frontier_r1, outer.frontier_r2]) * t)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_exact_gap_is_deterministic(db):
+    # two calls give the same report to the last bit, or the same error
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    reports = []
+    for _ in range(2):
+        try:
+            report = gap.exact_gap(p)
+        except DegenerateChannelError as exc:
+            reports.append(str(exc))
+        else:
+            reports.append(report_hex(report))
+    assert reports[0] == reports[1]

@@ -9,7 +9,12 @@ own names), of the benchmark (perfbench/*.py) or of the acceptance suite
 that refers to the name, or README.md, which names it in code.  A public
 class that a used public function names in its return annotation is used
 too: a caller holds its instances.  A name with no user belongs in the
-tests or goes."""
+tests or goes.
+
+Each private top-level function or class of a gicnof module is referred to
+by the code of some gicnof module, its own included, or of the benchmark;
+a decorated function counts as used, since its decorator can register it
+(gap._shutdown_pool).  A private name only the tests call goes."""
 
 import ast
 import importlib
@@ -59,6 +64,20 @@ def public_definitions(path):
     return list(public(ast.parse(path.read_bytes(), str(path)).body))
 
 
+def unused_private_names():
+    """module.name of each private top-level function and class of a gicnof
+    module, decorated functions aside, that no code of gicnof or of the
+    benchmark refers to."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    code = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    referred = set().union(*map(names_referred_to, code))
+    return sorted(f"{module.stem}.{node.name}" for module in PACKAGE.glob("*.py")
+                  for node in ast.parse(module.read_bytes(), str(module)).body
+                  if isinstance(node, (*functions, ast.ClassDef)) and node.name.startswith("_")
+                  and not (isinstance(node, functions) and node.decorator_list)
+                  and node.name not in referred)
+
+
 def readme_code(section=""):
     """The code of README.md, or of its section headed section: the fenced
     blocks and the inline code spans."""
@@ -88,6 +107,10 @@ def unused_public_names():
 
 def test_every_public_name_has_a_user():
     assert unused_public_names() == []
+
+
+def test_every_private_name_has_a_user_in_program_code():
+    assert unused_private_names() == []
 
 
 def test_every_export_resolves():
