@@ -20,7 +20,7 @@ user with the smaller INR is zero up to the rounding of 1 - rho, about
 about 1e-9 bits at 80 dB.
 
 The bounds are sums of the terms a1..a7 of both users, written once, in
-_coefficients; the functions a1..a7 are its views.
+_coefficients and _a7; the functions a1..a7 are their views.
 
 Right-hand sides of the rate bounds can still be negative for sub-unity
 SNR+INR channels; negative caps simply make the polytope empty rather than
@@ -34,29 +34,29 @@ plus the last) and the single-user corners.  Its extreme points in
 FAN_DIRECTIONS directions evenly spaced over [0, pi/2], and the point
 farthest beyond the chord of each two adjacent ones, are points of the
 region, so the chain Q through them, by ascending R1, lies inside it.  The
-prune is one test in support space, over the whole grid, on supports
-bounded from the raw caps (geometry.vertices_outside gives the argument).
-A polytope it drops lies strictly inside the region's downward closure:
-none of its points is a hull vertex, the farthest point of a quickhull
-step, or the largest R1 or R2.  The vertices of the polytopes left go to
-the hull with no dominance prefilter, and the region is bit for bit the one
-the unpruned sweep gives.
+prune is one test in support space, on supports bounded from the raw caps
+(geometry.prune_columns gives the argument).  A polytope it drops lies
+strictly inside the region's downward closure: none of its points is a
+hull vertex, the farthest point of a quickhull step, or the largest R1 or
+R2.  The vertices of the polytopes left go to the hull with no dominance
+prefilter, and the region is bit for bit the one the unpruned sweep gives.
 
 The walked vertices strictly inside the chain, most of them, are dropped
 before the hull (geometry.strictly_inside), by the same argument.  The
 symmetric sweep builds the clouds of a run of cells together
 (run_inner_clouds), with one vertex batch for all their coarse clouds.
 
-The inner pass holds no array over the whole grid.  It takes the grid's
-rho rows in slabs (_slab_rows), each one family_caps call whose
-(rho, mu1, mu2) arrays hold at most SLAB_BYTES, the one budget.  Slab 0
-holds every coarse row, so the coarse cloud and the chain come from it;
-then each slab in turn, slab 0 first, is pruned and walked and dropped.
-exact_gap and analytic_gap_bound score each slab for the analytic bound
-as it passes.  Each step works per polytope or per rho, and the hull
-depends on its point set alone, so every output is the whole grid's, bit
-for bit; the default grid is one slab, so there the calls and arrays are
-the whole grid's too.
+The inner pass holds no (rho, mu1, mu2) array over the whole grid.  The
+terms over at most two axes, the chain and its facets are made once per
+cell.  The rho rows are taken in slabs (_slab_rows) whose (rho, mu1, mu2)
+arrays hold at most SLAB_BYTES, the one budget, and each makes only its
+3-D terms and minima.  Slab 0 holds every coarse row, so the coarse cloud
+and the chain come from it; then each slab in turn, slab 0 first, is
+pruned and dropped, and the polytopes kept are walked together.
+exact_gap and analytic_gap_bound score each slab as it passes.  Each step works per
+polytope or per rho, and the hull depends on its point set alone, so
+every output is the whole grid's, bit for bit; the default grid is one
+slab, so there the calls and arrays are the whole grid's too.
 """
 
 from __future__ import annotations
@@ -71,12 +71,14 @@ from .geometry import (
     GridSpec,
     Region,
     batch_vertices,
+    chain_prune,
     discard_strictly_dominated,
     group_rows,
     pareto_vertices,
+    prune_columns,
     region_from_points,
     strictly_inside,
-    vertices_outside,
+    walk_columns,
 )
 
 DEFAULT_GRID = GridSpec(rho_points=33, mu_points=17)
@@ -131,7 +133,9 @@ def b_basic(p: ChannelParameters, i: int, rho):
 
 
 def _coefficients(p: ChannelParameters, rho, mu1, mu2) -> dict:
-    """{i: (a1, ..., a7) of user i} at rho, mu1 and mu2 (broadcastable).
+    """{i: (a1, ..., a6, q_i, s_i) of user i} at rho, mu1 and mu2
+    (broadcastable): the terms over at most two of the three axes, and the
+    parts of a7_i = _a7(q_i, s_i).
 
     The inner guard runs once, and each per-user term is evaluated once:
     b1_i(rho) and b2_i from one b_basic call, b1_i(1), b2_i floored at zero,
@@ -161,9 +165,14 @@ def _coefficients(p: ChannelParameters, rho, mu1, mu2) -> dict:
             0.5 * np.log2(s[i] + 2.0) - 0.5,
             0.5 * np.log2(2.0 + r[i] + s[i]) - 0.5,
             0.5 * np.log2(q[i] + 2.0) - 0.5,
-            0.5 * np.log2(q[i] + s[i] + 2.0) - 0.5,
+            q[i],
+            s[i],
         )
     return out
+
+
+def _a7(q, s):
+    return 0.5 * np.log2(q + s + 2.0) - 0.5
 
 
 # views of _coefficients; a split that a term does not read is passed as the one it does
@@ -192,21 +201,22 @@ def a6(p: ChannelParameters, i: int, rho, mu):
 
 
 def a7(p: ChannelParameters, i: int, rho, mu1, mu2):
-    return _coefficients(p, rho, mu1, mu2)[i][6]
+    return _a7(*_coefficients(p, rho, mu1, mu2)[i][6:])
 
 
-def _bound_rhs_arrays(p: ChannelParameters, rho, mu1, mu2) -> tuple:
+def _bound_rhs_arrays(a: dict) -> tuple:
     """Right-hand sides of the seventeen bounds, one tuple per family in
-    FAMILY_COEFFS order, as converse._caps_by_family gives the converse's.
+    FAMILY_COEFFS order, as converse._caps_by_family gives the converse's,
+    from the terms a of _coefficients (or rows of them), a7 made here.
 
-    rho, mu1 and mu2 may be broadcastable arrays; every returned entry
-    broadcasts against their common shape.  This is the single source for
-    family_caps.  The splits pair as in the rate-bound list: a3, a4 and a5 of
-    user i take the other user's split mu_j, a6 its own mu_i, a7 both.
+    Every returned entry broadcasts against the terms' common shape.  This
+    is the single source for family_caps.  The splits pair as in the
+    rate-bound list: a3, a4 and a5 of user i take the other user's split
+    mu_j, a6 its own mu_i, a7 both.
     """
-    a = _coefficients(p, rho, mu1, mu2)
-    a1_1, a2_1, a3_1, a4_1, a5_1, a6_1, a7_1 = a[1]
-    a1_2, a2_2, a3_2, a4_2, a5_2, a6_2, a7_2 = a[2]
+    a1_1, a2_1, a3_1, a4_1, a5_1, a6_1, *qs_1 = a[1]
+    a1_2, a2_2, a3_2, a4_2, a5_2, a6_2, *qs_2 = a[2]
+    a7_1, a7_2 = _a7(*qs_1), _a7(*qs_2)
     return (
         (a2_1, a6_1 + a3_2, a1_1 + a3_2 + a4_2),  # R1
         (a2_2, a3_1 + a6_2, a3_1 + a4_1 + a1_2),  # R2
@@ -238,18 +248,24 @@ def family_caps(p: ChannelParameters, rho, mu1, mu2) -> np.ndarray:
     converse.family_caps.
     """
     shape = np.broadcast_shapes(np.shape(rho), np.shape(mu1), np.shape(mu2))
-    return _least_of_each(_bound_rhs_arrays(p, rho, mu1, mu2), shape)
+    return _least_of_each(_bound_rhs_arrays(_coefficients(p, rho, mu1, mu2)), shape)
 
 
 def _least_of_each(families, shape: tuple) -> np.ndarray:
     """The elementwise minimum over the members of each family, each member
-    broadcast to shape: an array of shape (len(families),) + shape."""
+    broadcast to shape: an array of shape (len(families),) + shape.  The
+    members are folded smallest first, at their own shape until a fold
+    spans shape (the inner R1 and R2 members never do), which writes
+    straight into the family's row."""
     caps = np.empty((len(families),) + shape)
-    for k, (first, *rest) in enumerate(families):
+    for k, members in enumerate(families):
         out = caps[k, ...]  # a view even when shape is (), where caps[k] is a scalar
-        out[...] = first
+        least, *rest = sorted(members, key=np.size)
         for v in rest:
-            np.minimum(out, v, out=out)
+            spans = np.broadcast(least, v).shape == shape
+            least = np.minimum(least, v, out=out if spans else None)
+        if least is not out:
+            out[...] = least
     return caps
 
 
@@ -295,15 +311,22 @@ def _grid_slabs(p: ChannelParameters, grid: GridSpec):
     slabs (rows, caps), in _slab_rows order: caps is family_caps over the
     rows of rho, of shape (5, rows.size, n_mu, n_mu).
 
-    The inner guard runs at once (_parameter_grids); each slab's caps are
-    made when the iterator reaches it, one family_caps call, so that a
-    consumer that drops each slab before taking the next holds one slab at
-    a time.  family_caps is elementwise, so a slab's caps are the whole
-    grid's at its rows, bit for bit.
+    The inner guard and the _coefficients call over the whole grid run at
+    once; each slab's caps are made from those terms at its rows when the
+    iterator reaches it, so a consumer that drops each slab before taking
+    the next holds one slab.  Every step is elementwise, so a slab's caps
+    are the whole grid's at its rows, bit for bit.
     """
     rho, mu1, mu2 = _parameter_grids(p, grid)
-    return rho.ravel(), ((rows, family_caps(p, rho[rows], mu1, mu2))
-                         for rows in _slab_rows(rho.size, mu1.size))
+    terms = _coefficients(p, rho, mu1, mu2)  # every array of them spans rho
+
+    def caps(rows):  # consecutive rows take views of the terms
+        at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == rows.size - 1 else rows
+        terms_at = {i: [t[at] if isinstance(t, np.ndarray) else t for t in ts]
+                    for i, ts in terms.items()}
+        return _least_of_each(_bound_rhs_arrays(terms_at), (rows.size, mu1.size, mu2.size))
+
+    return rho.ravel(), ((rows, caps(rows)) for rows in _slab_rows(rho.size, mu1.size))
 
 
 def sweep_family_caps(p: ChannelParameters, grid: GridSpec) -> np.ndarray:
@@ -387,6 +410,13 @@ def _fan_chain(points: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return float(chain[-1, 0]), chain[:, 0], chain[:, 1]
 
 
+def _walk_batch(walk, chain: tuple, batch: list) -> np.ndarray:
+    """The vertices of a batch of slabs' kept (cols, caps), from one walk,
+    less those strictly inside the chain."""
+    pts, _ = walk_columns(walk, *map(np.hstack, zip(*batch)))
+    return pts[~strictly_inside(pts, chain)]
+
+
 def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
     """The points whose hull, with the origin and the axis projections of
     their extremes, is the inner region of each cell of a run, in order: ps
@@ -396,12 +426,14 @@ def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
 
     This is the inner pass.  Slab 0 of every cell is taken first, and the
     coarse clouds of the whole run are one batch_vertices call on their
-    coarse rows (_coarse_clouds).  Then, cell by cell, the chain is made,
-    and each slab in turn, slab 0 first, is pruned and walked and dropped
-    before the next one is taken: a run holds each cell's slab 0 and one
-    more slab.  A prune over the whole run's columns was slower per cell,
-    its arrays too large for the cache.  Each cloud is the one a run of its
-    cell alone gives, in walk order slab by slab.
+    coarse rows (_coarse_clouds).  Then, cell by cell, the chain and its
+    prune are made (chain_prune), and each slab in turn, slab 0 first, is
+    pruned (prune_columns) and dropped before the next one is taken: a run
+    holds each cell's slab 0 and one more slab.  The columns of successive
+    slabs kept are walked together (_walk_batch), in batches whose
+    (steps, columns) table fits SLAB_BYTES, usually one per cell.  A prune
+    over the whole run's columns was slower per cell.  Each cloud is the
+    one a run of its cell alone gives.
     """
     slabs = [iter(s) for s in slabs]
     firsts = [next(s) for s in slabs]
@@ -409,13 +441,19 @@ def run_inner_clouds(ps, slabs) -> list[np.ndarray]:
     clouds = []
     for k, (rest, a, coarse) in enumerate(zip(slabs, anchors, _coarse_clouds(firsts, anchors))):
         chain = _fan_chain(coarse)
-        parts, slab, firsts[k] = [], firsts[k], None
+        prune = chain_prune(FAMILY_COEFFS, chain)
+        width = SLAB_BYTES // (8 * prune[0].steps[0].size)  # columns of a (steps, columns) table
+        parts, batch = [], []
+        slab, firsts[k] = firsts[k], None
         while slab is not None:
-            pts, _ = vertices_outside(FAMILY_COEFFS, slab[1].reshape(5, -1), chain)
-            parts.append(pts[~strictly_inside(pts, chain)])
+            kept = prune_columns(prune, slab[1].reshape(5, -1))
             slab = None  # dropped before the next one is made
+            if batch and sum(c.size for c, _ in batch) + kept[0].size > width:
+                parts.append(_walk_batch(prune[0], chain, batch))
+                batch = []
+            batch.append(kept)
             slab = next(rest, None)
-        pts = np.vstack(parts + [a])
+        pts = np.vstack(parts + [_walk_batch(prune[0], chain, batch), a])
         # a strictly dominated point v >= 0 lies in the box between the origin
         # and its dominator, inside the hull of the anchored cloud (the origin
         # and the axis projections of the extremes), so it is no hull vertex and

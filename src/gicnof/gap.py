@@ -77,7 +77,8 @@ def _rho_scores(outer: np.ndarray, inner: np.ndarray):
     for k, w in enumerate(weights):
         out = slack if k else score
         np.subtract(outer[k, :, None, None], inner[k], out=out)
-        out /= w
+        if w != 1.0:  # dividing by 1 is exact
+            out /= w
         if k:
             np.maximum(score, slack, out=score)
     per_rho_flat = score.reshape(shape[0], -1)
@@ -132,9 +133,9 @@ def exact_gap(
     together (converse._region_and_caps).  Then the inner pass
     (achievability.run_inner_clouds) takes the inner caps in rho slabs of
     at most achievability.SLAB_BYTES per (rho, mu1, mu2) array, and each
-    slab is scored for the analytic bound (_rho_scores) as it is pruned and
-    walked, then dropped; the bound's worst rho is taken at the end, over
-    the whole axis.  Every output is the one the whole grid's caps give,
+    slab is scored for the analytic bound (_rho_scores) as it is pruned,
+    then dropped; the bound's worst rho is taken at the end, over the
+    whole axis.  Every output is the one the whole grid's caps give,
     bit for bit: the hull depends on its point set alone, and every other
     step works per polytope or per rho.  The default grid is one slab.
     """
@@ -180,8 +181,8 @@ def _sweep_chunk(snr: float, alpha: float, betas, grid: GridSpec,
          rho;
       3. the inner clouds of the cells left (achievability.run_inner_clouds),
          from the slabs of step 1: one batch_vertices call for all their
-         coarse clouds, from each cell's slab 0, then each cell's chain, and
-         its prune and walk slab by slab;
+         coarse clouds, from each cell's slab 0, then each cell's chain,
+         its prune slab by slab and its walk of what the slabs keep;
       4. one batch of hulls (geometry.regions_from_points), then each cell's
          deflation gap from its converse vertices (geometry.deflate), which
          is deflation_gap's over the converse envelope, with no frontier.

@@ -27,13 +27,13 @@ directions (the inner region: m = 5, n = rho x mu x mu grid points):
   the directions in slope order: a fixed number of passes over rows of
   length n per LP-dual term, then every step's corner at once, over the
   table, O(n (pairs + m)) time and O(n m) memory;
-- vertices_outside leaves out the polytopes strictly inside an inner chain
+- prune_columns leaves out the polytopes strictly inside an inner chain
   with q knots (for the inner sweep, the extreme points of a coarse
   sub-grid's vertices in a fan of directions) by one test in support space,
   on bounds from the raw caps: O(n (pairs + q)) time, no corner and no
   tightening.  Only the w polytopes it keeps are tightened and walked, so
   the k candidate vertices come from w polytopes, not from n (the argument
-  is in vertices_outside);
+  is in prune_columns);
 - _convex_hulls is a quickhull on the k candidates with no sort of its
   input, run level-synchronously: each depth of the recursion is one
   vectorized pass of O(k) over the pending edges of every cloud of a batch,
@@ -418,19 +418,22 @@ def _vertex_walk(shape: tuple, data: bytes) -> _VertexWalk:
 
 
 def _live_caps(coeffs: np.ndarray, rhs: np.ndarray):
-    """The walk of coeffs, the nonempty columns live of rhs and their caps,
-    each parallel row's cap folded into its walked row's."""
+    """The walk of coeffs, the nonempty columns live of rhs and their caps."""
     coeffs = np.asarray(coeffs, float)
     rhs = np.asarray(rhs, float)
     walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
     if rhs.ndim != 2 or rhs.shape[0] != coeffs.shape[0]:
         raise ValueError(f"rhs must be ({coeffs.shape[0]}, n), got {rhs.shape}")
-
     live = np.flatnonzero(np.all(rhs >= -FEASIBILITY_TOL, axis=0))  # NaN compares False
-    caps = rhs if live.size == rhs.shape[1] and not walk.fold else rhs[:, live]
+    return walk, live, _folded(walk, rhs, live)
+
+
+def _folded(walk: _VertexWalk, rhs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rhs at the columns cols, parallel rows folded into their walked row."""
+    caps = rhs if cols.size == rhs.shape[1] and not walk.fold else rhs[:, cols]
     for row, member, scale in walk.fold:
         np.minimum(caps[row], scale * caps[member], out=caps[row])
-    return walk, live, caps
+    return caps
 
 
 def _least_dual(caps: np.ndarray, terms, out: np.ndarray, term: np.ndarray,
@@ -528,8 +531,13 @@ def batch_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     Returns (points, poly_index): the stacked vertices and, for each, the
     index of its polytope (column of rhs).
     """
-    walk, live, caps = _live_caps(coeffs, rhs)
-    return _emit(walk, live, *_tighten(walk, caps))
+    return walk_columns(*_live_caps(coeffs, rhs))
+
+
+def walk_columns(walk: _VertexWalk, cols: np.ndarray, caps: np.ndarray):
+    """batch_vertices of the caps of _folded, each vertex labelled with its
+    polytope's entry of cols."""
+    return _emit(walk, cols, *_tighten(walk, caps))
 
 
 def group_rows(values: np.ndarray, group: np.ndarray, n: int) -> list[np.ndarray]:
@@ -600,7 +608,7 @@ def _chain_margin(inner: tuple) -> float:
 
 def strictly_inside(points: np.ndarray, inner: tuple) -> np.ndarray:
     """Which of the (n, 2) points lie strictly inside an inner chain, in
-    the sense of vertices_outside's test: v >= 0, and v + margin * (1, 1)
+    the sense of prune_columns' test: v >= 0, and v + margin * (1, 1)
     left of r1_max and below the knots' interpolant (_chain_margin).
 
     The chain lies inside the region the points are for, so such a point
@@ -635,7 +643,7 @@ def _pair_bounds(walk: _VertexWalk, caps: np.ndarray, rows: set) -> list:
 def _below(facets: list, u, n: int) -> np.ndarray:
     """Which of n polytopes lie inside every facet: sum of lam_k u[k] over
     its terms below its limit, u[k] an upper bound of the support value in
-    row k of walk.dirs, such as _pair_bounds gives (vertices_outside)."""
+    row k of walk.dirs, such as _pair_bounds gives (prune_columns)."""
     inside, flag = np.ones((2, n), bool)
     bound, part = np.empty((2, n))
     for ((k, lam), *rest), limit in facets:  # a normal n >= 0 has a row term
@@ -646,8 +654,9 @@ def _below(facets: list, u, n: int) -> np.ndarray:
     return inside
 
 
-def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
-    """batch_vertices, less polytopes strictly inside an inner chain.
+def chain_prune(coeffs: np.ndarray, inner: tuple) -> tuple:
+    """The prune of polytopes of directions coeffs strictly inside an inner
+    chain, made once per chain: (walk, facets, rows) for prune_columns.
 
     inner is an upper boundary (r1_max, knot_r1, knot_r2), knots by
     ascending R1 and descending R2, as Region.boundary gives it: the set of
@@ -656,45 +665,51 @@ def vertices_outside(coeffs: np.ndarray, rhs: np.ndarray, inner: tuple):
     does when every knot is one of those vertices and r1_max the largest
     knot R1.
 
-    One test, on bounds of support values, runs before any polytope is
-    tightened.  Its facets are those of the chain's downward closure
+    The facets are those of the chain's downward closure
     (_closure_facets), all with normals n >= 0, whose intersection lies
     inside that set even when the knots are not concave.  Each n is
     lam_i d_i + lam_j d_j over two slope-adjacent directions of the walk
     (_chain_facets), so a polytope's support in n is at most
-    lam_i u_i + lam_j u_j for any upper bounds u of its supports in d.  u
-    is the raw caps, lowered by the LP-dual terms that pair two constraint
-    rows (_pair_bounds); by weak duality each term bounds the support.  A
-    polytope is left out when its caps are all finite and nonnegative and,
-    on every facet n . v <= b, that bound lies below b - margin * (n1 + n2),
-    margin = 1e-9 * max(1, largest |knot|).  Then v + margin * (1, 1) is in
-    the region for each of its points v, so none of them is a hull vertex
-    of the region, or the farthest point beyond any chord of a quickhull.
-
-    The polytopes kept are tightened and walked, and a polytope's vertices
-    depend on its own caps alone (_tighten), so they are those
-    batch_vertices returns for it in any batch.  A test on exact support
-    values would also leave out a polytope whose R1 or R2 cap is redundant,
-    since only a dual term with an axis bounds those supports; such a
-    polytope lies strictly inside too, so its vertices change no hull.  On
-    the inner sweep's caps both tests keep the same polytopes.  Cost: a fixed
-    number of array passes per dual term and per facet over the n columns,
-    O(n (pairs + q)) for q knots, then the tightening and walk of the
-    columns kept; no corner of a polytope left out is computed.
+    lam_i u_i + lam_j u_j for any upper bounds u of its supports in d.
     """
-    walk, live, caps = _live_caps(coeffs, rhs)
-    rhs = np.asarray(rhs, float)
-    finite = ((np.min(rhs, axis=0) >= 0.0) & (np.max(rhs, axis=0) < np.inf))[live]
+    coeffs = np.asarray(coeffs, float)
+    walk = _vertex_walk(coeffs.shape, coeffs.tobytes())
     facets = _chain_facets(walk, inner)
-    rows = {k for terms, _ in facets for k, _ in terms}
+    return walk, facets, {k for terms, _ in facets for k, _ in terms}
 
-    near = np.ones(live.size, bool)
-    tested = np.flatnonzero(finite)
-    # the bounds are freed before the tightening makes its own table
-    near[tested] = ~_below(facets, _pair_bounds(
-        walk, caps if tested.size == live.size else caps[:, tested], rows), tested.size)
-    near = np.flatnonzero(near)
-    return _emit(walk, live[near], *_tighten(walk, caps[:, near]))
+
+def prune_columns(prune: tuple, rhs: np.ndarray):
+    """The nonempty columns of rhs, as batch_vertices reads it, less those
+    strictly inside prune's chain (chain_prune), and their caps (_folded).
+
+    One test, on bounds of support values, runs before any polytope is
+    tightened.  u is the raw caps, lowered by the LP-dual terms that pair
+    two constraint rows (_pair_bounds); by weak duality each term bounds
+    the support.  A polytope is left out when its caps are all finite and
+    nonnegative and, on every facet n . v <= b, lam_i u_i + lam_j u_j lies
+    below b - margin * (n1 + n2), margin = 1e-9 * max(1, largest |knot|).
+    Then v + margin * (1, 1) is in the region for each of its points v, so
+    none of them is a hull vertex of the region, or the farthest point
+    beyond any chord of a quickhull.  One column minimum and maximum tell
+    which columns are nonempty and which are tested.
+
+    A test on exact support values would also leave out a
+    polytope whose R1 or R2 cap is redundant, since only a dual term with
+    an axis bounds those supports; such a polytope lies strictly inside
+    too, so its vertices change no hull.  On the inner sweep's caps both
+    tests keep the same polytopes.  Cost: a fixed number of array passes
+    per dual term and per facet over the n columns, O(n (pairs + q)) for q
+    knots.
+    """
+    walk, facets, rows = prune
+    lo, hi = np.min(rhs, axis=0), np.max(rhs, axis=0)
+    keep = lo >= -FEASIBILITY_TOL  # NaN compares False
+    tested = np.flatnonzero((lo >= 0.0) & (hi < np.inf))
+    # the bounds are freed before the kept caps are taken
+    keep[tested] = ~_below(facets, _pair_bounds(walk, _folded(walk, rhs, tested), rows),
+                           tested.size)
+    kept = np.flatnonzero(keep)
+    return kept, _folded(walk, rhs, kept)
 
 
 def polytope_vertices(poly: RateRegionPolytope) -> np.ndarray:

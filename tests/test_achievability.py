@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import math
 import re
 import tracemalloc
 from unittest import mock
@@ -12,14 +14,12 @@ from gicnof import (
     DegenerateChannelError,
     GapReport,
     GridSpec,
-    SymmetricPoint,
     achievable_region,
     analytic_gap_bound,
     b_basic,
     exact_gap,
     polytope_vertices,
     rho_domain_sup,
-    symmetric_params,
 )
 from gicnof import achievability as ach
 from gicnof import converse, gap, geometry
@@ -32,8 +32,9 @@ from gicnof.geometry import (
     pareto_vertices,
     region_from_points,
 )
-from conftest import (FAMILIES, as_oracle, channels_with_unit_inr, one_slab_cloud, random_channels,
-                      report_hex, whole_grid_bound, whole_grid_caps)
+from conftest import (EDGE_CHANNELS, FAMILIES, as_oracle, channels_with_unit_inr,
+                      criterion_8_channels, one_slab_cloud, random_channels, report_hex,
+                      whole_grid_bound, whole_grid_caps)
 
 
 def oracle_polytope(ch, rho, mu1, mu2):
@@ -139,7 +140,7 @@ class TestCoefficients:
         p = ChannelParameters(10.0, 20.0, 5.0, 8.0, 10.0, 3.0)
         ch = as_oracle(p)
         want = oracle.inner_bound_rhs(ch, 0.1, 0.25, 0.75)
-        got = ach._bound_rhs_arrays(p, 0.1, 0.25, 0.75)
+        got = ach._bound_rhs_arrays(ach._coefficients(p, 0.1, 0.25, 0.75))
         for fam, members in zip(FAMILIES, got, strict=True):
             assert [float(v) for v in members] == pytest.approx(want[fam], rel=1e-12)
         caps = ach.family_caps(p, 0.1, 0.25, 0.75)
@@ -183,7 +184,7 @@ class TestRhoDomain:
 
 class TestAchievablePolytope:
     def test_reference_bounds_at_zero_split(self, p_star):
-        r1 = ach._bound_rhs_arrays(p_star, 0.0, 0.0, 0.0)[0]
+        r1 = ach._bound_rhs_arrays(ach._coefficients(p_star, 0.0, 0.0, 0.0))[0]
         r1_caps = sorted(round(float(r), 6) for r in r1)
         # a2 = 1.5; the other two caps coincide since a3 vanishes at mu = 0
         assert 1.5 in r1_caps
@@ -202,7 +203,7 @@ class TestAchievablePolytope:
 
     def test_seventeen_bounds_match_oracle(self, p_star):
         for p in [p_star] + channels_with_unit_inr(10, 97):
-            groups = ach._bound_rhs_arrays(p, 0.0, 0.5, 0.5)
+            groups = ach._bound_rhs_arrays(ach._coefficients(p, 0.0, 0.5, 0.5))
             got = [float(r) for members in groups for r in members]
             assert len(got) == 17
             want = oracle.inner_bound_rhs(as_oracle(p), 0.0, 0.5, 0.5)
@@ -425,16 +426,6 @@ class TestPrunedSweep:
         assert_matches_unpruned(p, ach.DEFAULT_GRID)
 
 
-EDGE_CHANNELS = (
-    random_channels(40, 20261018, db_range=(-10.0, 80.0))
-    + [ChannelParameters(100.0, 30.0, 1e-9, 4.0, 50.0, 10.0),      # one INR of 1e-9
-       ChannelParameters(1e8, 1e8, 1e-9, 1e-9, 1e8, 1e8),          # both, at 80 dB
-       ChannelParameters(0.5, 0.2, 3.0, 0.1, 2.0, 0.7),            # sub-unity SNRs
-       ChannelParameters(0.1, 0.9, 0.3, 0.2, 0.05, 100.0),
-       ChannelParameters(0.3, 0.3, 20.0, 20.0, 1e4, 1e4)]
-)
-
-
 class TestPrunedSweepOnEdgeInputs:
     """The prune on log-uniform channels up to 80 dB, tiny INRs and sub-unity SNRs."""
 
@@ -462,15 +453,6 @@ def whole_grid_gap(p, grid, converse_grid):
 COLLAPSED = ChannelParameters(10.0, 20.0, 0.5, 5.0, 3.0, 3.0)  # sub-unity INR: one rho
 
 
-def criterion_8_channels():
-    """Acceptance criterion 8's twenty channels, drawn as that test draws them."""
-    return random_channels(17, seed=20260405) + [
-        ChannelParameters(10.0, 10.0, 5.0, 5.0, 10.0, 10.0),
-        symmetric_params(SymmetricPoint(1e4, 1.05, 1.2)),
-        symmetric_params(SymmetricPoint(1e3, 0.5, 0.8)),
-    ]
-
-
 class TestRun:
     """The inner pass in slabs of rho, and the inner clouds of a run."""
 
@@ -492,22 +474,30 @@ class TestRun:
 
     @pytest.mark.parametrize("grid", [ach.DEFAULT_GRID, DOUBLED, GridSpec(129, 9)])
     def test_slabs_of_rho_give_the_whole_grids_caps(self, grid, monkeypatch):
-        calls = []
-        family_caps = ach.family_caps
+        terms, shapes = [], []
+        coefficients, least_of_each = ach._coefficients, ach._least_of_each
 
-        def spy(*args):
-            calls.append(np.ravel(args[1]))
-            return family_caps(*args)
+        def terms_spy(*args):
+            terms.append(np.ravel(args[1]))
+            return coefficients(*args)
+
+        def caps_spy(families, shape):
+            shapes.append(shape)
+            return least_of_each(families, shape)
 
         def made(call):
-            # each slab's (rho, mu1, mu2) temporary within SLAB_BYTES, and each
-            # grid rho made once per call: no second call for the coarse sub-grid
-            monkeypatch.setattr(ach, "family_caps", spy)
+            # the terms made once over the grid's whole rho axis, each slab's
+            # (rho, mu1, mu2) arrays within SLAB_BYTES, and each grid rho in
+            # one slab: no second slab for the coarse sub-grid
+            monkeypatch.setattr(ach, "_coefficients", terms_spy)
+            monkeypatch.setattr(ach, "_least_of_each", caps_spy)
             out = call()
             monkeypatch.undo()
-            assert max(c.size for c in calls) * grid.mu_points ** 2 * 8 <= ach.SLAB_BYTES
-            assert np.array_equal(np.sort(np.concatenate(calls)), rho)
-            calls.clear()
+            assert len(terms) == 1 and np.array_equal(terms[0], rho)
+            assert max(math.prod(s) for s in shapes) * 8 <= ach.SLAB_BYTES
+            assert sum(s[0] for s in shapes) == rho.size
+            terms.clear()
+            shapes.clear()
             return out
 
         for p in random_channels(20, 20260405):
@@ -518,15 +508,69 @@ class TestRun:
                                   equal_nan=True)
             made(lambda: exact_gap(p, grid))
 
+    @staticmethod
+    def inner_pass_calls(p, grid, converse_grid):
+        """The calls exact_gap makes to each step of the inner pass: the
+        terms, the slabs' caps, the coarse vertex batch, the chain's prune,
+        the slab prunes and the walks."""
+        steps = [(ach, "_coefficients"), (ach, "_least_of_each"), (ach, "batch_vertices"),
+                 (ach, "chain_prune"), (ach, "prune_columns"), (ach, "walk_columns")]
+        with contextlib.ExitStack() as stack:
+            spies = [stack.enter_context(mock.patch.object(m, n, wraps=getattr(m, n)))
+                     for m, n in steps]
+            exact_gap(p, grid, converse_grid)
+        return tuple(s.call_count for s in spies)
+
     def test_default_grid_is_one_slab(self):
-        # exact_gap at the default grids: one family_caps call, one coarse
-        # batch_vertices call and one vertices_outside call, as with no slabs
+        # exact_gap at the default grids: one evaluation of the terms and one
+        # of the caps, one coarse batch_vertices call, one prune and one walk,
+        # as with no slabs
         for p in random_channels(5, 20260405):
-            with mock.patch.object(ach, "family_caps", wraps=ach.family_caps) as caps, \
-                    mock.patch.object(ach, "batch_vertices", wraps=ach.batch_vertices) as walk, \
-                    mock.patch.object(ach, "vertices_outside", wraps=ach.vertices_outside) as prune:
-                exact_gap(p)
-            assert (caps.call_count, walk.call_count, prune.call_count) == (1, 1, 1)
+            assert self.inner_pass_calls(p, ach.DEFAULT_GRID, converse.DEFAULT_GRID) == (
+                1, 1, 1, 1, 1, 1)
+
+    def test_a_doubled_grid_walks_its_slabs_together(self, monkeypatch):
+        # at criterion 8's doubled grids each slab makes its caps and is
+        # pruned, the terms and the chain's prune are made once, and the
+        # columns the slabs keep are walked together, slab after slab, in
+        # batches whose (steps, columns) table fits SLAB_BYTES; a slab that
+        # keeps more is walked alone.  On 18 of the 20 channels that is one
+        # walk; channel 1 keeps 825 to 3,384 columns in each of its five
+        # slabs, five walks, and channel 18 4,116 in all, two walks.  Three
+        # channels and COLLAPSED have a sub-unity INR, one rho and one slab
+        grid, converse_grid = DOUBLED, GridSpec(129, 33, 1024)
+        kept, walked = [], []
+        prune_columns, walk_columns = ach.prune_columns, ach.walk_columns
+
+        def prune_spy(prune, rhs):
+            out = prune_columns(prune, rhs)
+            kept.append(out[0].size)
+            return out
+
+        def walk_spy(walk, cols, caps):
+            walked.append((walk.steps[0].size, caps.shape[1]))
+            return walk_columns(walk, cols, caps)
+
+        monkeypatch.setattr(ach, "prune_columns", prune_spy)
+        monkeypatch.setattr(ach, "walk_columns", walk_spy)
+        ones = 0
+        for p in criterion_8_channels() + [COLLAPSED]:
+            kept.clear()
+            walked.clear()
+            rho, _ = ach._grid_slabs(p, grid)
+            n = len(ach._slab_rows(rho.size, grid.mu_points))
+            assert n == (5 if rho.size == 65 else 1)
+            assert self.inner_pass_calls(p, grid, converse_grid) == (1, n, 1, 1, n, len(walked))
+            assert len(kept) == n
+            width = ach.SLAB_BYTES // (8 * walked[0][0])
+            batches = [0]
+            for k in kept:
+                if batches[-1] and batches[-1] + k > width:
+                    batches.append(0)
+                batches[-1] += k
+            assert [c for _, c in walked] == batches, p
+            ones += len(walked) == 1
+        assert ones == 19
 
     @pytest.mark.parametrize("grid, converse_grid", [
         (ach.DEFAULT_GRID, converse.DEFAULT_GRID),  # one slab

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from gicnof import (
 )
 from gicnof import achievability, converse, gap
 from gicnof.geometry import deflate
-from conftest import as_oracle, channels_with_unit_inr, random_channels, swap_users
+from conftest import (DRIFT_CHANNEL, as_oracle, channels_with_unit_inr, criterion_8_channels,
+                      random_channels, report_hex, swap_users)
 
 
 def slack(p, rho, mu1, mu2):
@@ -82,6 +84,38 @@ class TestAnalyticGapBound:
         assert report.exact_gap <= 4.5
         assert report.analytic_bound == pytest.approx(5.9256, abs=1e-3)
         assert report.analytic_bound > report.exact_gap
+
+
+# criterion 8's doubled grids, whose inner pass runs in five rho slabs, and
+# two grids whose slabs differ from them: 9 slabs of up to 45 rows at 9
+# splits, and slab 0 of the 5 coarse rows then 28 rows in 1 to 3 at 65 splits
+DOUBLED_GRIDS = (GridSpec(65, 33, 1024), GridSpec(129, 33, 1024))
+BOUND_GRIDS = (GridSpec(129, 9), GridSpec(33, 65))
+DOUBLED_GOLDEN = Path(__file__).parent / "golden" / "gap_doubled_hex.json"
+
+
+def doubled_hex():
+    """The multi-slab pass's bits on criterion 8's channels and
+    DRIFT_CHANNEL, in that order: exact_gap's reports at DOUBLED_GRIDS, and
+    analytic_gap_bound at each of BOUND_GRIDS, as float.hex strings.
+    tests/golden/gap_doubled_hex.json holds them as the rho slabs were
+    made before each cell's grid-wide terms were made once."""
+    channels = criterion_8_channels() + [DRIFT_CHANNEL]
+    out = {"exact_gap": [report_hex(exact_gap(p, *DOUBLED_GRIDS)) for p in channels]}
+    for g in BOUND_GRIDS:
+        out[f"analytic_gap_bound {g.rho_points}x{g.mu_points}"] = [
+            float(analytic_gap_bound(p, g)).hex() for p in channels]
+    return out
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="the pinned bits are numpy 2's, as the 40 dB surface golden's are")
+def test_multi_slab_gaps_are_the_pinned_bits():
+    want, got = json.loads(DOUBLED_GOLDEN.read_text()), doubled_hex()
+    assert list(got) == list(want)
+    for name in want:
+        for k, (a, b) in enumerate(zip(got[name], want[name], strict=True)):
+            assert a == b, (name, k)
 
 
 class TestExactGap:
@@ -145,12 +179,15 @@ class TestGapProperties:
         assert abs(dense - base) < 1e-2
 
     def test_inner_caps_evaluated_once(self, p_star, monkeypatch):
+        # the terms once and the caps of the one slab once, for the region
+        # and the analytic bound
         calls = []
-        family_caps = achievability.family_caps
-        monkeypatch.setattr(achievability, "family_caps",
-                            lambda *args: calls.append(1) or family_caps(*args))
+        for name in ("_coefficients", "_least_of_each"):
+            step = getattr(achievability, name)
+            monkeypatch.setattr(achievability, name, lambda *args, name=name, step=step:
+                                calls.append(name) or step(*args))
         report = exact_gap(p_star)
-        assert len(calls) == 1
+        assert calls == ["_coefficients", "_least_of_each"]
         monkeypatch.undo()
         assert report.analytic_bound == analytic_gap_bound(p_star)
         inner = achievability.achievable_region(p_star)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import one_slab_cloud, random_channels, whole_grid_caps
+from conftest import one_slab_cloud, random_channels, vertices_outside, whole_grid_caps
 from gicnof import achievability, geometry
 from gicnof.gap import regions
 from gicnof.geometry import (
@@ -24,7 +24,6 @@ from gicnof.geometry import (
     pareto_vertices,
     polytope_vertices,
     region_from_points,
-    vertices_outside,
 )
 
 FAMILIES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]

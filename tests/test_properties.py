@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from gicnof import (  # noqa: E402
     ChannelParameters,
     DegenerateChannelError,
+    GridSpec,
     SymmetricPoint,
     achievability,
     converse,
@@ -32,10 +33,10 @@ from gicnof.geometry import (  # noqa: E402
     deflation_gap,
     region_from_points,
     strictly_inside,
-    vertices_outside,
 )
 from conftest import (  # noqa: E402
-    FAMILIES, as_oracle, report_hex, swap_users, whole_grid_bound, whole_grid_caps)
+    EDGE_CHANNELS, FAMILIES, as_oracle, plain_least_of_each, report_hex, swap_users,
+    vertices_outside, whole_grid_bound, whole_grid_caps)
 
 COEFFS = achievability.FAMILY_COEFFS
 
@@ -116,7 +117,7 @@ def test_every_inner_bound_matches_the_formula_oracle(db, t, mu1, mu2):
     rho = t * achievability.rho_domain_sup(p)
     assume(all(achievability.b_basic(p, i, rho)[1] >= 0.0 for i in (1, 2)))
     want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
-    got = achievability._bound_rhs_arrays(p, rho, mu1, mu2)
+    got = achievability._bound_rhs_arrays(achievability._coefficients(p, rho, mu1, mu2))
     for fam, members in zip(FAMILIES, got, strict=True):
         assert [float(v) for v in members] == pytest.approx(want[fam], rel=1e-9, abs=1e-12)
 
@@ -131,9 +132,47 @@ def test_the_b2_floor_at_the_domain_sup_moves_no_bound_by_1e_8(db, mu1, mu2):
     p = ChannelParameters(*10.0 ** (np.array(db) / 10.0))
     rho = achievability.rho_domain_sup(p)
     want = oracle.inner_bound_rhs(as_oracle(p), rho, mu1, mu2)
-    got = achievability._bound_rhs_arrays(p, rho, mu1, mu2)
+    got = achievability._bound_rhs_arrays(achievability._coefficients(p, rho, mu1, mu2))
     for fam, members in zip(FAMILIES, got, strict=True):
         assert [float(v) for v in members] == pytest.approx(want[fam], rel=0.0, abs=1e-8)
+
+
+FOLD_GRIDS = (achievability.DEFAULT_GRID, GridSpec(65, 33, 1024), GridSpec(129, 9),
+              GridSpec(2, 2), GridSpec(33, 65))
+
+
+def assert_caps_fold_as_the_plain_reference(p, grid):
+    """family_caps of both sides, and the inner pass's slabs, are the plain
+    fold of the members in their written order, bit for bit: the inner caps
+    over grid and the converse caps over its rho and the inner rho axis, as
+    exact_gap evaluates them.  The fold order moves no bit."""
+    rho, mu1, mu2 = achievability._parameter_grids(p, grid)
+    want = plain_least_of_each(
+        achievability._bound_rhs_arrays(achievability._coefficients(p, rho, mu1, mu2)),
+        np.broadcast_shapes(rho.shape, mu1.shape, mu2.shape))
+    assert achievability.family_caps(p, rho, mu1, mu2).tobytes() == want.tobytes()
+    for rows, caps in achievability._grid_slabs(p, grid)[1]:
+        assert caps.tobytes() == np.ascontiguousarray(want[:, rows]).tobytes()
+    axis = np.concatenate([np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points), rho.ravel()])
+    try:
+        got = converse.family_caps(p, axis)
+    except DegenerateChannelError:  # none of the channels drawn, nor EDGE_CHANNELS
+        return
+    want = plain_least_of_each(converse._caps_by_family(
+        [p], axis, converse.classify_events(p)), (1,) + axis.shape)[:, 0]
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(PROPERTY, max_examples=100)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)), st.sampled_from(FOLD_GRIDS))
+def test_family_caps_fold_as_the_plain_reference(db, grid):
+    assert_caps_fold_as_the_plain_reference(ChannelParameters(*10.0 ** (db / 10.0)), grid)
+
+
+@pytest.mark.parametrize("grid", FOLD_GRIDS)
+def test_family_caps_fold_as_the_plain_reference_on_edge_channels(grid):
+    for p in EDGE_CHANNELS:
+        assert_caps_fold_as_the_plain_reference(p, grid)
 
 
 def largest_xi(inner, points):
@@ -223,6 +262,52 @@ def test_swapping_the_users_permutes_both_caps_arrays(db):
     inner = whole_grid_caps(p, achievability.DEFAULT_GRID)[1]
     assert_same_caps(whole_grid_caps(swap_users(p), achievability.DEFAULT_GRID)[1],
                      inner[SWAPPED_FAMILIES].transpose(0, 1, 3, 2))
+
+
+def largest_r1(p, r2):
+    """The largest R1 of p's converse region at each height r2, from its
+    caps on the converse grid's rho: over the polytopes with no cap below
+    -FEASIBILITY_TOL, the least (cap_k - c2_k R2) / c1_k over the families
+    with c1 > 0, up to each one's R2 reach (plus FEASIBILITY_TOL, as
+    converse_region's frontier reads its R1 reach), and at least 0.  With
+    the users swapped, this is the frontier converse_region samples."""
+    caps = converse.family_caps(p, np.linspace(0.0, 1.0, converse.DEFAULT_GRID.rho_points))
+    caps = caps[:, np.all(np.isfinite(caps) & (caps >= -FEASIBILITY_TOL), axis=0)]
+    c1, c2 = COEFFS.T
+    reach = np.min(caps[c2 > 0] / c2[c2 > 0, None], axis=0)
+    side = np.min((caps[c1 > 0, :, None] - c2[c1 > 0, None, None] * r2) / c1[c1 > 0, None, None],
+                  axis=0)
+    side[r2 > reach[:, None] + FEASIBILITY_TOL] = -np.inf
+    return np.maximum(side.max(axis=0), 0.0)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(arrays(float, 6, elements=st.floats(-10.0, 80.0)))
+def test_swapping_the_users_mirrors_the_converse_region(db):
+    # the swapped region's frontier, sampled along the region's R2, is the
+    # region's largest R1, and each region's vertices, mirrored, are vertices
+    # of the other's polytopes.  The vertex sets themselves differ: the
+    # envelope keeps the polytope vertices that lie on its frontier sampled
+    # along R1, which drops the foot of a drop at the largest R1 and keeps
+    # the top of the R2 axis, its mirror (all six ratios at 0 dB)
+    p = ChannelParameters(*10.0 ** (db / 10.0))
+    try:
+        outer = converse.converse_region(p)
+    except DegenerateChannelError:
+        event("skipped: the converse raises")
+        assume(False)
+    q = swap_users(p)
+    swapped = converse.converse_region(q)
+    scale = max(1.0, np.abs(outer.vertices).max())
+    for region, other in ((swapped, p), (outer, q)):
+        corners = converse.run_converse_vertices([other])[0][0]
+        apart = np.abs(region.vertices[:, None, ::-1] - corners[None]).max(axis=2)
+        assert apart.min(axis=1).max() <= 1e-12 * scale
+    np.testing.assert_allclose(swapped.frontier_r2, largest_r1(p, swapped.frontier_r1),
+                               rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose([swapped.frontier_r1[-1], swapped.frontier_r2[0]],
+                               [outer.frontier_r2[0], outer.frontier_r1[-1]],
+                               rtol=1e-12, atol=1e-12 * scale)
 
 
 @settings(PROPERTY, max_examples=60)
