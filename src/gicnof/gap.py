@@ -69,7 +69,8 @@ def _rho_scores(outer: np.ndarray, inner: np.ndarray):
     inner is family caps of shape (5, n_rho, n_mu, n_mu), a slab of
     achievability._grid_slabs or a whole grid, and outer converse.family_caps
     at the same rho, shape (5, n_rho).  Returns arrays of shape (n_rho,)
-    and (n_rho, 5); each row depends on its own rho alone.
+    and (n_rho, 5); each row depends on its own rho alone.  The slacks are
+    folded one family at a time; those of weight 1 are not divided.
     """
     shape = inner.shape[1:]
     weights = achievability.FAMILY_COEFFS.sum(axis=1)
@@ -77,7 +78,7 @@ def _rho_scores(outer: np.ndarray, inner: np.ndarray):
     for k, w in enumerate(weights):
         out = slack if k else score
         np.subtract(outer[k, :, None, None], inner[k], out=out)
-        if w != 1.0:  # dividing by 1 is exact
+        if w != 1.0:  # dividing by 1 is exact, so skipping it moves no bit
             out /= w
         if k:
             np.maximum(score, slack, out=score)
